@@ -82,7 +82,7 @@ class Field:
     """Scalar samples on a grid. Values are finite after every public operation."""
 
     def __init__(self, grid, values, copy=True):
-        values = np.array(values, dtype=float, copy=copy)
+        values = np.array(values, dtype=float) if copy else np.asarray(values, dtype=float)
         if values.shape != grid.shape:
             raise GridError(f"values shape {values.shape} does not match grid {grid.shape}")
         if not np.all(np.isfinite(values)):
@@ -349,19 +349,36 @@ def write_snapshot(path, field, t):
 
 
 def read_snapshot(path):
-    """Read a snapshot written by :func:`write_snapshot`; returns (field, t)."""
+    """Read a snapshot written by :func:`write_snapshot`; returns (field, t).
+
+    A short, overlong or malformed file raises GridError naming the byte offset.
+    """
     with open(path, "rb") as fh:
-        magic, version, dim = struct.unpack("<4sII", fh.read(12))
-        if magic != _SNAP_MAGIC:
-            raise GridError(f"not a snapshot file: bad magic {magic!r}")
-        if version != _SNAP_VERSION:
-            raise GridError(f"unsupported snapshot version {version}")
-        ms = struct.unpack(f"<{dim}I", fh.read(4 * dim))
-        ls = struct.unpack(f"<{dim}d", fh.read(8 * dim))
-        if len(set(ms)) != 1 or len(set(ls)) != 1:
-            raise GridError("snapshot axes disagree; only cubic grids are supported")
-        (t,) = struct.unpack("<d", fh.read(8))
-        grid = Grid(dim, ls[0], ms[0])
-        raw = np.frombuffer(fh.read(8 * grid.n_nodes), dtype="<f8")
-        values = raw.reshape(grid.shape)
+        data = fh.read()
+    pos = 0
+
+    def take(size):
+        nonlocal pos
+        if pos + size > len(data):
+            raise GridError(f"truncated snapshot: {size} bytes needed at byte offset "
+                            f"{pos}, file ends at {len(data)}")
+        pos += size
+        return data[pos - size:pos]
+
+    magic, version, dim = struct.unpack("<4sII", take(12))
+    if magic != _SNAP_MAGIC:
+        raise GridError(f"not a snapshot file: bad magic {magic!r} at byte offset 0")
+    if version != _SNAP_VERSION:
+        raise GridError(f"unsupported snapshot version {version} at byte offset 4")
+    if dim not in (1, 2):
+        raise GridError(f"bad snapshot dimension {dim} at byte offset 8")
+    ms = struct.unpack(f"<{dim}I", take(4 * dim))
+    ls = struct.unpack(f"<{dim}d", take(8 * dim))
+    if len(set(ms)) != 1 or len(set(ls)) != 1:
+        raise GridError("snapshot axes disagree; only cubic grids are supported")
+    (t,) = struct.unpack("<d", take(8))
+    grid = Grid(dim, ls[0], ms[0])
+    values = np.frombuffer(take(8 * grid.n_nodes), dtype="<f8").reshape(grid.shape)
+    if pos != len(data):
+        raise GridError(f"{len(data) - pos} trailing bytes after byte offset {pos}")
     return Field(grid, values), t

@@ -9,8 +9,8 @@ from scipy import fft as sp_fft
 from scipy import sparse
 
 from . import diagnostics
-from .grids import (DomainMask, Field, _check_stencil_fits, _fft_plan,
-                    _slice_pair, masked_exchange_matrix)
+from .grids import (DomainMask, Field, _check_stencil_fits, _convolve_zero_extend,
+                    _fft_plan, _slice_pair, masked_exchange_matrix)
 from .kernels import stencil_second_moment
 from .media import classify, floor as floor_medium
 
@@ -52,6 +52,8 @@ class SolverConfig:
             raise SolverError("snapshot_every must be at least 1")
         if self.boundary == "mask" and self.mask_radius is None:
             raise SolverError("mask boundary mode needs mask_radius")
+        if self.scheme == "picard-oracle" and self.boundary == "mask":
+            raise SolverError("picard-oracle supports only the zero-extend boundary")
 
 
 @dataclass
@@ -81,19 +83,22 @@ def stability_dt(medium, grid):
     return float(np.min(medium.sample(grid)))
 
 
+def _check_euler_dt(rho, dt):
+    limit = float(rho.min())
+    if dt > limit * (1 + 1e-12):
+        raise SolverError(
+            f"dt={dt:g} violates the explicit stability bound stability_dt={limit:g}")
+
+
 # ---------------------------------------------------------------------------
-# single-step operations (reference implementations; the run loop uses the
-# precompiled steppers below, which match these to rounding)
+# single-step operations (zero-extend: reference loops that the FFT stepper
+# matches to rounding; mask: one step of the sweep path of _MaskedStepper)
 
 
 def _mask_kappa(stencil, mask):
     """In-domain kernel mass per node: sum over interior y of w(x - y)."""
     chi = mask.indicator()
-    kappa = np.zeros_like(chi)
-    for offset, w in zip(stencil.offsets, stencil.weights):
-        dst, src = _slice_pair(chi.shape, offset)
-        kappa[dst] += w * chi[src]
-    return kappa * chi
+    return _convolve_zero_extend(chi, stencil) * chi
 
 
 def _effective_step(rho, kappa, dt):
@@ -104,32 +109,13 @@ def _effective_step(rho, kappa, dt):
     return rho * (-np.expm1(-kappa * dt / rho)) / kappa
 
 
-def _masked_euler_update(u, rho, inside, stencil, dt):
-    buf = np.zeros_like(u)
-    for offset, w in zip(stencil.offsets, stencil.weights):
-        if np.all(offset == 0):
-            continue
-        dst, src = _slice_pair(u.shape, offset)
-        ok = inside[dst] & inside[src]
-        buf[dst] += np.where(ok, w * (u[src] - u[dst]), 0.0)
-    return u + np.where(inside, dt * buf / rho, 0.0)
-
-
-def _masked_exponential_update(u, rho, inside, stencil, r_eff):
-    # pairwise symmetric relaxation: each ordered pair exchanges
-    # w * min(r_eff(x), r_eff(y)) * (u(y) - u(x)), an antisymmetric flux, so
-    # the rho-weighted sum over the mask is conserved to rounding while the
-    # per-node exchange stays capped by the integrating-factor step (the
-    # update remains a convex combination for every dt).
-    buf = np.zeros_like(u)
-    for offset, w in zip(stencil.offsets, stencil.weights):
-        if np.all(offset == 0):
-            continue
-        dst, src = _slice_pair(u.shape, offset)
-        ok = inside[dst] & inside[src]
-        s = np.minimum(r_eff[dst], r_eff[src])
-        buf[dst] += np.where(ok, w * s * (u[src] - u[dst]), 0.0)
-    return u + np.where(inside, buf / rho, 0.0)
+def _masked_step(u, medium, stencil, mask, scheme, dt):
+    """One masked step through the offset sweep; data outside the mask is dropped."""
+    if mask is None or mask.grid != u.grid:
+        raise SolverError("mask boundary mode needs a DomainMask on the same grid")
+    stepper = _MaskedStepper(u.grid, medium, stencil, mask, scheme, dt, nnz_cap=0)
+    out = stepper.scatter(stepper.step(stepper.restrict(u.values)))
+    return Field(u.grid, out, copy=False)
 
 
 def step_euler(u, medium, stencil, dt, boundary="zero-extend", mask=None):
@@ -141,22 +127,12 @@ def step_euler(u, medium, stencil, dt, boundary="zero-extend", mask=None):
     _check_stencil_fits(u, stencil)
     grid = u.grid
     rho = medium.sample(grid)
-    limit = float(rho.min())
-    if dt > limit * (1 + 1e-12):
-        raise SolverError(
-            f"dt={dt:g} violates the explicit stability bound stability_dt={limit:g}")
+    _check_euler_dt(rho, dt)
     if boundary == "zero-extend":
-        conv = np.zeros_like(u.values)
-        for offset, w in zip(stencil.offsets, stencil.weights):
-            dst, src = _slice_pair(u.values.shape, offset)
-            conv[dst] += w * u.values[src]
+        conv = _convolve_zero_extend(u.values, stencil)
         return Field(grid, u.values + dt * (conv - u.values) / rho, copy=False)
     if boundary == "mask":
-        if mask is None or mask.grid != grid:
-            raise SolverError("mask boundary mode needs a DomainMask on the same grid")
-        vals = u.values * mask.indicator()
-        out = _masked_euler_update(vals, rho, mask.inside, stencil, dt)
-        return Field(grid, out, copy=False)
+        return _masked_step(u, medium, stencil, mask, "euler", dt)
     raise SolverError(f"unknown boundary mode {boundary!r}")
 
 
@@ -165,7 +141,7 @@ def step_exponential(u, medium, stencil, dt, boundary="zero-extend", mask=None):
 
     Zero-extend: u+ = e^(-dt/rho) u + (1 - e^(-dt/rho)) J*u, the exact flow of
     the frozen-convolution equation. Masked: the conservative pairwise form of
-    the same update (see _masked_exponential_update), which keeps the exact
+    the same update (see _MaskedStepper), which keeps the exact
     discrete conservation law at any dt. Both are positivity-preserving and
     bounded by the data range for renormalized stencils, with no dt
     restriction.
@@ -173,26 +149,12 @@ def step_exponential(u, medium, stencil, dt, boundary="zero-extend", mask=None):
     if dt <= 0:
         raise SolverError("dt must be positive")
     _check_stencil_fits(u, stencil)
-    grid = u.grid
-    rho = medium.sample(grid)
     if boundary == "zero-extend":
-        conv = np.zeros_like(u.values)
-        for offset, w in zip(stencil.offsets, stencil.weights):
-            dst, src = _slice_pair(u.values.shape, offset)
-            conv[dst] += w * u.values[src]
-        a = np.exp(-dt / rho)
-        return Field(grid, a * u.values + (1.0 - a) * conv, copy=False)
+        conv = _convolve_zero_extend(u.values, stencil)
+        a = np.exp(-dt / medium.sample(u.grid))
+        return Field(u.grid, a * u.values + (1.0 - a) * conv, copy=False)
     if boundary == "mask":
-        if mask is None or mask.grid != grid:
-            raise SolverError("mask boundary mode needs a DomainMask on the same grid")
-        kappa = _mask_kappa(stencil, mask)
-        if np.any((kappa <= 0) & mask.inside):
-            raise SolverError("mask contains a node with zero in-domain kernel mass")
-        vals = u.values * mask.indicator()
-        kappa_safe = np.where(mask.inside, kappa, 1.0)
-        r_eff = np.where(mask.inside, _effective_step(rho, kappa_safe, dt), 0.0)
-        out = _masked_exponential_update(vals, rho, mask.inside, stencil, r_eff)
-        return Field(grid, out, copy=False)
+        return _masked_step(u, medium, stencil, mask, "exponential", dt)
     raise SolverError(f"unknown boundary mode {boundary!r}")
 
 
@@ -209,11 +171,7 @@ class _ZeroExtendStepper:
         self.dt = dt
         self.rho = medium.sample(grid)
         if scheme == "euler":
-            limit = float(self.rho.min())
-            if dt > limit * (1 + 1e-12):
-                raise SolverError(
-                    f"dt={dt:g} violates the explicit stability bound "
-                    f"stability_dt={limit:g}")
+            _check_euler_dt(self.rho, dt)
         self.pad_shape, self.khat = _fft_plan(grid.shape, stencil)
         self.region = tuple(slice(0, n) for n in grid.shape)
         self.decay = np.exp(-dt / self.rho)
@@ -235,52 +193,57 @@ class _ZeroExtendStepper:
 
 
 class _MaskedStepper:
-    """Sparse-matrix fixed-dt stepper for the masked (no-flux) boundary.
+    """Fixed-dt stepper for the masked (no-flux) boundary, on mask-node vectors.
 
-    Falls back to per-offset array sweeps when the exchange matrix would be
-    too large to materialize.
+    An exponential step adds the antisymmetric pair exchange (see _exchange)
+    at the integrating-factor rate r_eff; an Euler step is u + dt * rate(u),
+    the same exchange at r = 1. Mask nodes x stencil offsets within
+    ``nnz_cap`` store the exchange once as CSR matrices (about 12 bytes per
+    pair each; one sparse matvec a step). Above the cap nothing per pair is
+    stored and each step sweeps half the offsets as flat shifts of the grid.
     """
 
     def __init__(self, grid, medium, stencil, mask, scheme, dt, nnz_cap=20_000_000):
         self.grid = grid
-        self.mask = mask
         self.scheme = scheme
         self.dt = dt
-        self.stencil = stencil
-        self.rho_full = medium.sample(grid)
         self.inside = mask.inside
-        self.rho = self.rho_full[self.inside]
+        self.rho = medium.sample(grid)[self.inside]
         if scheme == "euler":
-            limit = float(self.rho.min())
-            if dt > limit * (1 + 1e-12):
-                raise SolverError(
-                    f"dt={dt:g} violates the explicit stability bound "
-                    f"stability_dt={limit:g}")
+            _check_euler_dt(self.rho, dt)
         self.matrix_mode = mask.n_nodes * len(stencil) <= nnz_cap
-        w0 = stencil.self_weight()
         if self.matrix_mode:
-            W = masked_exchange_matrix(stencil, mask, nnz_cap)
-            kappa = np.asarray(W.sum(axis=1)).ravel() + w0
-            if np.any(kappa <= 0):
-                raise SolverError("mask contains a node with zero in-domain kernel mass")
-            self.kappa = kappa
-            if scheme == "euler":
-                self.W = W
-                self.kdiag = kappa - w0
-            else:
-                r = _effective_step(self.rho, kappa, dt)
-                coo = W.tocoo()
-                data = coo.data * np.minimum(r[coo.row], r[coo.col])
-                C = sparse.csr_matrix((data, (coo.row, coo.col)), shape=W.shape)
-                self.C = C
-                self.cdiag = np.asarray(C.sum(axis=1)).ravel()
+            self.W = masked_exchange_matrix(stencil, mask, nnz_cap)
+            self.kdiag = np.asarray(self.W.sum(axis=1)).ravel()
+            kappa = self.kdiag + stencil.self_weight()
         else:
-            kappa_full = _mask_kappa(stencil, mask)
-            if np.any((kappa_full <= 0) & self.inside):
-                raise SolverError("mask contains a node with zero in-domain kernel mass")
-            kappa_safe = np.where(self.inside, kappa_full, 1.0)
-            self.r_eff = np.where(
-                self.inside, _effective_step(self.rho_full, kappa_safe, dt), 0.0)
+            kappa = _mask_kappa(stencil, mask)[self.inside]
+        if np.any(kappa <= 0):
+            raise SolverError("mask contains a node with zero in-domain kernel mass")
+        r_eff = _effective_step(self.rho, kappa, dt)
+        if self.matrix_mode:
+            if scheme == "exponential":
+                coo = self.W.tocoo()
+                data = coo.data * np.minimum(r_eff[coo.row], r_eff[coo.col])
+                self.C = sparse.csr_matrix((data, (coo.row, coo.col)), shape=self.W.shape)
+                self.cdiag = np.asarray(self.C.sum(axis=1)).ravel()
+            return
+        # pad every row with halfwidths[-1] zeros: each offset is then one
+        # flat shift, and a neighbour past the end of a row lands in padding
+        padded = grid.shape[:-1] + (grid.shape[-1] + int(stencil.halfwidths[-1]),)
+        shifts = stencil.offsets @ np.array([math.prod(padded[d + 1:])
+                                             for d in range(grid.dim)])
+        self.shifts, self.weights = shifts[shifts > 0], stencil.weights[shifts > 0]
+        pad_inside = np.zeros(padded, dtype=bool)
+        pad_inside[tuple(slice(0, n) for n in grid.shape)] = self.inside
+        self.flat = np.flatnonzero(pad_inside)
+        n = pad_inside.size
+        self.r_gen = pad_inside.ravel().astype(float)
+        self.r_eff = np.zeros(n)
+        self.r_eff[self.flat] = r_eff
+        # scratch shared by step() and rate(); _u stays zero off the mask
+        self._u, self._out = np.zeros(n), np.empty(n)
+        self._scratch = (np.empty(n), np.empty(n))
 
     def restrict(self, values):
         return values[self.inside]
@@ -290,34 +253,40 @@ class _MaskedStepper:
         out[self.inside] = vec
         return out
 
+    def _exchange(self, state, r):
+        """sum_k w_k min(r(x), r(x-k)) (u(x-k) - u(x)) at the mask nodes.
+
+        r is zero off the mask and in the padding, which cuts every pair that
+        leaves the domain. Each +/- offset pair is visited once, its flux
+        added at one end and subtracted at the other: the exchange is
+        antisymmetric, so sum(rho u) is conserved to rounding.
+        """
+        u, out, (f_all, d_all) = self._u, self._out, self._scratch
+        u[self.flat] = state
+        out.fill(0.0)
+        for s, w in zip(self.shifts, self.weights):
+            m = u.size - s
+            f, d = f_all[:m], d_all[:m]
+            np.minimum(r[:m], r[s:], out=f)
+            np.subtract(u[s:], u[:m], out=d)
+            f *= d
+            f *= w
+            out[:m] += f
+            out[s:] -= f
+        return out[self.flat]
+
     def step(self, state):
-        if self.matrix_mode:
-            if self.scheme == "euler":
-                return state + self.dt * (self.W @ state - self.kdiag * state) / self.rho
-            return state + (self.C @ state - self.cdiag * state) / self.rho
-        full = self.scatter(state)
         if self.scheme == "euler":
-            out = _masked_euler_update(full, self.rho_full, self.inside,
-                                       self.stencil, self.dt)
-        else:
-            out = _masked_exponential_update(full, self.rho_full, self.inside,
-                                             self.stencil, self.r_eff)
-        return out[self.inside]
+            return state + self.dt * self.rate(state)
+        if self.matrix_mode:
+            return state + (self.C @ state - self.cdiag * state) / self.rho
+        return state + self._exchange(state, self.r_eff) / self.rho
 
     def rate(self, state):
+        """Generator u_t = (J*u - u)/rho over the mask nodes."""
         if self.matrix_mode:
-            if self.scheme == "euler":
-                return (self.W @ state - self.kdiag * state) / self.rho
-            # generator, not the per-step increment: exchange at raw weights
-            W = getattr(self, "_Wgen", None)
-            if W is None:
-                W = masked_exchange_matrix(self.stencil, self.mask)
-                self._Wgen = W
-                self._kgen = np.asarray(W.sum(axis=1)).ravel()
-            return (W @ state - self._kgen * state) / self.rho
-        full = self.scatter(state)
-        upd = _masked_euler_update(full, self.rho_full, self.inside, self.stencil, 1.0)
-        return (upd - full)[self.inside]
+            return (self.W @ state - self.kdiag * state) / self.rho
+        return self._exchange(state, self.r_gen) / self.rho
 
 
 @dataclass

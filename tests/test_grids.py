@@ -55,6 +55,12 @@ class TestField:
         with pytest.raises(GridError):
             Field(g, vals)
 
+    def test_no_copy_of_int_array(self):
+        g = Grid(1, 1.0, 5)
+        f = Field(g, np.arange(5), copy=False)
+        assert f.values.dtype == float
+        np.testing.assert_array_equal(f.values, [0.0, 1.0, 2.0, 3.0, 4.0])
+
     def test_shape_mismatch(self):
         with pytest.raises(GridError):
             Field(Grid(1, 1.0, 11), np.zeros(12))
@@ -270,6 +276,26 @@ class TestSnapshots:
         assert t == 1.25
         assert f2.grid == g
         np.testing.assert_array_equal(f2.values, f.values)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_every_truncated_prefix_rejected(self, tmp_path, dim):
+        g = Grid(dim, 1.0, 3)
+        path = tmp_path / "snap.isof"
+        write_snapshot(path, Field.constant(g, 0.5), 0.25)
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.isof"
+        for n in range(len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(GridError, match="byte offset"):
+                read_snapshot(cut)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        g = Grid(1, 1.0, 3)
+        path = tmp_path / "snap.isof"
+        write_snapshot(path, Field.zeros(g), 0.0)
+        path.write_bytes(path.read_bytes() + b"\x00" * 3)
+        with pytest.raises(GridError, match="3 trailing bytes after byte offset 56"):
+            read_snapshot(path)
 
     def test_magic_check(self, tmp_path):
         path = tmp_path / "junk.isof"

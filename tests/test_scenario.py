@@ -184,6 +184,12 @@ class TestCLI:
         assert main(["run", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_picard_oracle_with_mask_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "picard-mask.cfg"
+        cfg.write_text(GOOD_CFG.replace("scheme = exponential", "scheme = picard-oracle"))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "zero-extend" in capsys.readouterr().err
+
     def test_unknown_scenario_exit_code(self):
         assert main(["run", "not-a-scenario"]) == 2
 

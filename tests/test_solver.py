@@ -8,6 +8,7 @@ from isoflow import (DomainMask, Field, Grid, Kernel, Medium, NumericalAbort,
                      monotone_approx_run, picard_solve, run, stability_dt,
                      step_euler, step_exponential, trust_radius)
 from isoflow.diagnostics import mass
+from isoflow.solver import _MaskedStepper
 
 
 @pytest.fixture
@@ -232,6 +233,62 @@ class TestRun:
             SolverConfig(dt=-1.0).validate()
         with pytest.raises(SolverError):
             SolverConfig(boundary="mask").validate()
+        with pytest.raises(SolverError, match="zero-extend"):
+            SolverConfig(scheme="picard-oracle", boundary="mask",
+                         mask_radius=5.0).validate()
+
+
+@pytest.fixture(params=[(1, None), (1, (2.0, 5.0)), (2, None), (2, (1.5, 2.6))],
+                ids=["1d", "1d-split", "2d", "2d-split"])
+def sweep_case(request):
+    dim, band = request.param
+    if dim == 1:
+        g, sigma, tol = Grid(1, 10.0, 201), 1.0, 1e-12
+    else:
+        g, sigma, tol = Grid(2, 4.0, 41), 0.6, 1e-8
+    s = discretize(Kernel.gaussian(sigma, dim=dim), g.spacing, trunc_tol=tol)
+    m = Medium.power_decay(1.0, 2.0, dim=dim)
+    mask = DomainMask(g, g.half_extent, exclude_band=band)
+    u0 = np.random.default_rng(11).random(g.shape) * mask.indicator()
+    return g, s, m, mask, u0
+
+
+class TestMaskedSweep:
+    """The flat-shift sweep (forced with nnz_cap=0) against the CSR stepper."""
+
+    @pytest.mark.parametrize("scheme", ["euler", "exponential"])
+    def test_step_and_rate_match_csr(self, sweep_case, scheme):
+        g, s, m, mask, u0 = sweep_case
+        dt = 0.9 * stability_dt(m, g) if scheme == "euler" else 0.7
+        csr = _MaskedStepper(g, m, s, mask, scheme, dt)
+        sweep = _MaskedStepper(g, m, s, mask, scheme, dt, nnz_cap=0)
+        assert csr.matrix_mode and not sweep.matrix_mode
+        x = csr.restrict(u0)
+        for name in ("step", "rate"):
+            want = getattr(csr, name)(x)
+            got = getattr(sweep, name)(x)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    @pytest.mark.parametrize("scheme", ["euler", "exponential"])
+    def test_mass_conserved_over_many_steps(self, sweep_case, scheme):
+        g, s, m, mask, u0 = sweep_case
+        dt = 0.9 * stability_dt(m, g) if scheme == "euler" else 0.7
+        sweep = _MaskedStepper(g, m, s, mask, scheme, dt, nnz_cap=0)
+        x = sweep.restrict(u0)
+        m0 = float(np.sum(sweep.rho * x))
+        for _ in range(120):
+            x = sweep.step(x)
+        assert abs(float(np.sum(sweep.rho * x)) - m0) <= 1e-12 * m0
+
+    def test_positivity_and_range_at_large_dt(self, sweep_case):
+        g, s, m, mask, u0 = sweep_case
+        sweep = _MaskedStepper(g, m, s, mask, "exponential", 50.0, nnz_cap=0)
+        x = sweep.restrict(u0)
+        lo, hi = float(x.min()), float(x.max())
+        for _ in range(20):
+            x = sweep.step(x)
+            assert x.min() >= lo - 1e-12 * hi
+            assert x.max() <= hi * (1 + 1e-12)
 
 
 class TestPicard:
