@@ -38,8 +38,7 @@ def _cmd_run(args):
 
 
 def _sweep_worker(payload):
-    sc, key, value, out_dir = payload
-    varied = with_param(sc, key, value)
+    varied, out_dir = payload
     _, csv_path = run_scenario(varied, out_dir=out_dir)
     return csv_path
 
@@ -48,15 +47,15 @@ def _cmd_sweep(args):
     sc = _load_scenario(args.scenario)
     if "=" not in args.param:
         raise ConfigError("expected --param key=v1,v2,...")
-    key, raw_vals = args.param.split("=", 1)
-    values = [float(v) for v in raw_vals.split(",") if v.strip()]
-    if not values:
+    key, raw_vals = (part.strip() for part in args.param.split("=", 1))
+    tokens = [v.strip() for v in raw_vals.split(",") if v.strip()]
+    if not tokens:
         raise ConfigError("sweep needs at least one value")
     base_dir = args.out or sc.outputs.directory
-    jobs = []
-    for v in values:
-        out_dir = os.path.join(base_dir, f"sweep-{key.split('.')[-1]}-{v:g}")
-        jobs.append((sc, key, v, out_dir))
+    # every varied scenario is built, and so validated, before any run starts
+    jobs = [(with_param(sc, key, tok),
+             os.path.join(base_dir, f"sweep-{key.split('.')[-1]}-{tok}"))
+            for tok in tokens]
     env_cap = os.environ.get("ISOFLOW_THREADS")
     workers = min(len(jobs), int(env_cap) if env_cap else (os.cpu_count() or 1))
     if workers > 1:
@@ -87,7 +86,7 @@ def _verify_lyapunov_refinement(args):
     from .diagnostics import lyapunov_identity_check
     from .grids import DomainMask
     from .scenario import build_initial, build_medium, build_grid, build_stencil
-    from .solver import run as run_solver, Probes
+    from .solver import run as run_solver
 
     sc = _load_scenario(args.scenario)
     grid = build_grid(sc.grid)
@@ -104,9 +103,7 @@ def _verify_lyapunov_refinement(args):
     prev = None
     for level in range(3):
         cfg = replace(sc.solver, dt=sc.solver.dt / 2 ** level)
-        traj = run_solver(u0, medium, stencil, cfg,
-                          Probes(sc.probes.lp_p, sc.probes.lp_radius,
-                                 sc.probes.dist_target))
+        traj = run_solver(u0, medium, stencil, cfg, sc.probes)
         rep = lyapunov_identity_check(traj, medium, stencil,
                                       sc.solver.boundary, mask)
         delta = cfg.dt * cfg.snapshot_every

@@ -4,7 +4,8 @@ named scenario registry, and CSV/snapshot emission."""
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import MISSING, dataclass, field as dc_field, fields, is_dataclass
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -30,6 +31,34 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # scenario description
+
+# The scenario file schema: one section per Scenario field that is a spec
+# dataclass, plus [scenario] for the remaining Scenario fields. A section's
+# keys are its dataclass's fields, parsed with their annotated types; a
+# ``params`` field expands to the parameters of the family table below.
+
+# kind -> family -> {param: type (required) or default value (optional)}
+_FAMILIES = {
+    "kernel": {
+        "gaussian": {"sigma": float},
+        "laplace": {"scale": float},
+        "uniform-ball": {"radius": float},
+        "tabulated": {"radii": list, "values": list},
+    },
+    "medium": {
+        "constant": {"value": float},
+        "power-decay": {"amplitude": float, "exponent": float},
+        "gaussian-decay": {"amplitude": float, "sigma": float},
+        "exponential-decay": {"amplitude": float, "scale": float},
+    },
+    "initial": {
+        "constant": {"value": float},
+        "gaussian-bump": {"height": float, "width": float},
+        "indicator": {"radius": float, "value": 1.0},
+        "quadratic": {"power": 1.0},
+        "table": {"radii": list, "values": list},
+    },
+}
 
 
 @dataclass
@@ -68,13 +97,6 @@ class OutputSpec:
 
 
 @dataclass
-class ProbeSpec:
-    lp_p: float = 2.0
-    lp_radius: float | None = None
-    dist_target: str = "auto"  # auto | e_rho | zero
-
-
-@dataclass
 class Scenario:
     name: str
     kernel: KernelSpec
@@ -83,81 +105,66 @@ class Scenario:
     initial: InitialSpec
     solver: SolverConfig
     outputs: OutputSpec = dc_field(default_factory=OutputSpec)
-    probes: ProbeSpec = dc_field(default_factory=ProbeSpec)
+    probes: Probes = dc_field(default_factory=Probes)
     asserted: bool = True   # exploratory scenarios carry no acceptance claims
+
+
+def _key_types(section, cls):
+    """{key: type its text is parsed with} for one section."""
+    types = {}
+    for name, hint in get_type_hints(cls).items():
+        if name == "params":
+            for schema in _FAMILIES[section].values():
+                types.update((k, d if isinstance(d, type) else type(d))
+                             for k, d in schema.items())
+        elif name not in _SPECS:
+            opt = [a for a in get_args(hint) if a is not type(None)]
+            types[name] = opt[0] if opt else hint
+    return types
+
+
+_SPECS = {name: cls for name, cls in get_type_hints(Scenario).items()
+          if is_dataclass(cls)}
+_CLASSES = {"scenario": Scenario, **_SPECS}
+_FIELDS = {section: [f.name for f in fields(cls) if f.name not in _SPECS]
+           for section, cls in _CLASSES.items()}
+_REQUIRED = {section: [f.name for f in fields(cls)
+                       if f.default is MISSING and f.default_factory is MISSING]
+             for section, cls in _CLASSES.items()}
+_KEY_TYPES = {section: _key_types(section, cls) for section, cls in _CLASSES.items()}
 
 
 # ---------------------------------------------------------------------------
 # construction of domain objects from specs
 
-_KERNEL_PARAMS = {
-    "gaussian": ("sigma",),
-    "laplace": ("scale",),
-    "uniform-ball": ("radius",),
-    "tabulated": ("radii", "values"),
-}
 
-_MEDIUM_PARAMS = {
-    "constant": ("value",),
-    "power-decay": ("amplitude", "exponent"),
-    "gaussian-decay": ("amplitude", "sigma"),
-    "exponential-decay": ("amplitude", "scale"),
-}
-
-_INITIAL_PARAMS = {
-    "constant": ("value",),
-    "gaussian-bump": ("height", "width"),
-    "indicator": ("radius", "value"),
-    "quadratic": ("power",),
-    "table": ("radii", "values"),
-}
-
-
-def _check_params(kind, family, params, table):
-    if family not in table:
-        raise ConfigError(f"unknown {kind} family {family!r}", field=f"{kind}.family")
-    allowed = set(table[family])
-    given = set(params)
-    missing = allowed - given
-    extra = given - allowed
-    if family == "indicator":
-        missing -= {"value"}
-    if family == "quadratic":
-        missing -= {"power"}
+def _family_params(kind, spec):
+    """spec.params checked against the family table, with defaults filled in."""
+    if spec.family not in _FAMILIES[kind]:
+        raise ConfigError(f"unknown {kind} family {spec.family!r}", field=f"{kind}.family")
+    schema = _FAMILIES[kind][spec.family]
+    missing = {k for k, d in schema.items() if isinstance(d, type)} - set(spec.params)
+    extra = set(spec.params) - set(schema)
     if missing:
-        raise ConfigError(f"{kind} family {family!r} missing parameter(s) "
+        raise ConfigError(f"{kind} family {spec.family!r} missing parameter(s) "
                           f"{sorted(missing)}", field=kind)
     if extra:
-        raise ConfigError(f"{kind} family {family!r} does not take {sorted(extra)}",
+        raise ConfigError(f"{kind} family {spec.family!r} does not take {sorted(extra)}",
                           field=kind)
+    return {**{k: d for k, d in schema.items() if not isinstance(d, type)},
+            **spec.params}
 
 
 def build_kernel(spec, dim):
-    _check_params("kernel", spec.family, spec.params, _KERNEL_PARAMS)
-    p = spec.params
     try:
-        if spec.family == "gaussian":
-            return Kernel.gaussian(p["sigma"], dim)
-        if spec.family == "laplace":
-            return Kernel.laplace(p["scale"], dim)
-        if spec.family == "uniform-ball":
-            return Kernel.uniform_ball(p["radius"], dim)
-        return Kernel.tabulated(p["radii"], p["values"], dim)
+        return Kernel(spec.family, dim, **_family_params("kernel", spec))
     except KernelError as exc:
         raise ConfigError(str(exc), field="kernel") from exc
 
 
 def build_medium(spec, dim):
-    _check_params("medium", spec.family, spec.params, _MEDIUM_PARAMS)
-    p = spec.params
     try:
-        if spec.family == "constant":
-            return Medium.constant(p["value"], dim)
-        if spec.family == "power-decay":
-            return Medium.power_decay(p["amplitude"], p["exponent"], dim)
-        if spec.family == "gaussian-decay":
-            return Medium.gaussian_decay(p["amplitude"], p["sigma"], dim)
-        return Medium.exponential_decay(p["amplitude"], p["scale"], dim)
+        return Medium(spec.family, dim, _family_params("medium", spec))
     except MediumError as exc:
         raise ConfigError(str(exc), field="medium") from exc
 
@@ -167,18 +174,16 @@ def build_grid(spec):
 
 
 def build_initial(spec, grid):
-    _check_params("initial", spec.family, spec.params, _INITIAL_PARAMS)
-    p = spec.params
+    p = _family_params("initial", spec)
     r = grid.radius()
     if spec.family == "constant":
         vals = np.full(grid.shape, float(p["value"]))
     elif spec.family == "gaussian-bump":
         vals = p["height"] * np.exp(-0.5 * (r / p["width"]) ** 2)
     elif spec.family == "indicator":
-        vals = np.where(r <= p["radius"] * (1 + 1e-12),
-                        float(p.get("value", 1.0)), 0.0)
+        vals = np.where(r <= p["radius"] * (1 + 1e-12), float(p["value"]), 0.0)
     elif spec.family == "quadratic":
-        vals = (1.0 + r * r) ** float(p.get("power", 1.0))
+        vals = (1.0 + r * r) ** float(p["power"])
     else:
         vals = np.interp(r, np.asarray(p["radii"], dtype=float),
                          np.asarray(p["values"], dtype=float))
@@ -198,12 +203,19 @@ def build_stencil(spec, grid):
 
 def validate_scenario(sc):
     """Cross-field validation; raises ConfigError on the first failure."""
+    if sc.outputs.snapshots not in ("none", "last", "all"):
+        raise ConfigError(f"outputs.snapshots must be none|last|all, got "
+                          f"{sc.outputs.snapshots!r}", field="outputs")
+    if sc.probes.dist_target not in ("auto", "e_rho", "zero"):
+        raise ConfigError(f"probes.dist_target must be auto|e_rho|zero, got "
+                          f"{sc.probes.dist_target!r}", field="probes")
     try:
         grid = build_grid(sc.grid)
     except Exception as exc:
         raise ConfigError(str(exc), field="grid") from exc
     kern = build_kernel(sc.kernel, grid.dim)
     medium = build_medium(sc.medium, grid.dim)
+    _family_params("initial", sc.initial)
     try:
         sc.solver.validate()
     except Exception as exc:
@@ -226,53 +238,77 @@ def validate_scenario(sc):
 # ---------------------------------------------------------------------------
 # flat sectioned text format
 
-_SECTIONS = ("scenario", "kernel", "medium", "grid", "initial", "solver",
-             "outputs", "probes")
 
-_SECTION_KEYS = {
-    "scenario": {"name", "asserted"},
-    "kernel": {"family", "sigma", "scale", "radius", "radii", "values",
-               "trunc_tol", "renormalize"},
-    "medium": {"family", "value", "amplitude", "exponent", "sigma", "scale"},
-    "grid": {"dim", "half_extent", "points_per_axis"},
-    "initial": {"family", "value", "height", "width", "radius", "power",
-                "radii", "values", "truncate_radius"},
-    "solver": {"scheme", "dt", "t_end", "boundary", "mask_radius",
-               "snapshot_every", "floor_alpha", "picard_tol"},
-    "outputs": {"directory", "csv", "snapshots"},
-    "probes": {"lp_p", "lp_radius", "dist_target"},
-}
-
-_STRING_KEYS = {"name", "family", "scheme", "boundary", "directory", "csv",
-                "snapshots", "dist_target"}
-_BOOL_KEYS = {"renormalize", "asserted"}
-_INT_KEYS = {"dim", "points_per_axis", "snapshot_every"}
-_LIST_KEYS = {"radii", "values"}
-
-
-def _parse_value(key, raw, line_no):
+def _parse_value(typ, key, raw, line_no=None):
     raw = raw.strip()
-    if key in _STRING_KEYS:
+    if typ is str:
         return raw
-    if key in _BOOL_KEYS:
+    if typ is bool:
         low = raw.lower()
         if low in ("true", "yes", "on", "1"):
             return True
         if low in ("false", "no", "off", "0"):
             return False
         raise ConfigError(f"expected a boolean for {key!r}, got {raw!r}", line=line_no)
-    if key in _LIST_KEYS:
+    if typ is list:
         try:
             return [float(tok) for tok in raw.split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad number list for {key!r}: {raw!r}",
                               line=line_no) from exc
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        return typ(raw)
     except ValueError as exc:
         raise ConfigError(f"bad number for {key!r}: {raw!r}", line=line_no) from exc
+
+
+def _format_value(value, section, key):
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return ",".join(repr(float(v)) for v in value)
+    text = str(value)
+    # a comment mark, a line break or edge whitespace would not read back
+    if "#" in text or text != text.strip() or len(text.splitlines()) > 1:
+        raise ConfigError(f"{text!r} cannot be written to a scenario file",
+                          field=f"{section}.{key}")
+    return text
+
+
+def _sections(sc):
+    """{section: {key: value}} in file order; keys whose value is None are left out."""
+    out = {}
+    for section, names in _FIELDS.items():
+        obj = sc if section == "scenario" else getattr(sc, section)
+        data = out[section] = {}
+        for name in names:
+            value = getattr(obj, name)
+            if name == "params":
+                data.update(value)
+            elif value is not None:
+                data[name] = value
+    return out
+
+
+def _build_scenario(sections, name_hint):
+    """Scenario from parsed sections; dataclass defaults fill absent keys."""
+    specs = {}
+    for section, cls in _SPECS.items():
+        if section not in sections and section in _REQUIRED["scenario"]:
+            raise ConfigError(f"missing section [{section}]")
+        data = dict(sections.get(section, {}))
+        for key in _REQUIRED[section]:
+            if key not in data and key != "params":
+                raise ConfigError(f"section [{section}] needs {key}", field=section)
+        if "params" in _FIELDS[section]:
+            data["params"] = {k: data.pop(k) for k in list(data)
+                              if k not in _FIELDS[section]}
+        specs[section] = cls(**data)
+    sc = Scenario(**{"name": name_hint, **sections.get("scenario", {}), **specs})
+    validate_scenario(sc)
+    return sc
 
 
 def parse_scenario_text(text, name_hint="scenario"):
@@ -289,7 +325,7 @@ def parse_scenario_text(text, name_hint="scenario"):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip().lower()
-            if current not in _SECTIONS:
+            if current not in _KEY_TYPES:
                 raise ConfigError(f"unknown section [{current}]", line=line_no)
             if current in sections:
                 raise ConfigError(f"duplicate section [{current}]", line=line_no)
@@ -300,81 +336,15 @@ def parse_scenario_text(text, name_hint="scenario"):
         if current is None:
             raise ConfigError("key outside of any section", line=line_no)
         key, raw_val = (part.strip() for part in line.split("=", 1))
-        if key not in _SECTION_KEYS[current]:
+        if key not in _KEY_TYPES[current]:
             raise ConfigError(f"unknown key {key!r} in section [{current}]",
                               line=line_no)
         if key in sections[current]:
             raise ConfigError(f"duplicate key {key!r} in section [{current}]",
                               line=line_no)
-        sections[current][key] = _parse_value(key, raw_val, line_no)
-
-    for required in ("kernel", "medium", "grid", "initial", "solver"):
-        if required not in sections:
-            raise ConfigError(f"missing section [{required}]")
-
-    def split_family(section, kind):
-        data = dict(sections[section])
-        if "family" not in data:
-            raise ConfigError(f"section [{section}] needs a family", field=kind)
-        fam = data.pop("family")
-        return fam, data
-
-    kern_data = dict(sections["kernel"])
-    fam = kern_data.pop("family", None)
-    if fam is None:
-        raise ConfigError("section [kernel] needs a family", field="kernel")
-    trunc_tol = kern_data.pop("trunc_tol", 1e-12)
-    renorm = kern_data.pop("renormalize", True)
-    kernel = KernelSpec(fam, kern_data, trunc_tol, renorm)
-
-    med_fam, med_params = split_family("medium", "medium")
-    medium = MediumSpec(med_fam, med_params)
-
-    g = sections["grid"]
-    for key in ("dim", "half_extent", "points_per_axis"):
-        if key not in g:
-            raise ConfigError(f"section [grid] needs {key}", field="grid")
-    grid = GridSpec(g["dim"], g["half_extent"], g["points_per_axis"])
-
-    init_data = dict(sections["initial"])
-    ifam = init_data.pop("family", None)
-    if ifam is None:
-        raise ConfigError("section [initial] needs a family", field="initial")
-    trunc_r = init_data.pop("truncate_radius", None)
-    initial = InitialSpec(ifam, init_data, trunc_r)
-
-    s = dict(sections["solver"])
-    solver = SolverConfig(
-        scheme=s.get("scheme", "exponential"),
-        dt=s.get("dt", 0.1),
-        t_end=s.get("t_end", 1.0),
-        boundary=s.get("boundary", "zero-extend"),
-        mask_radius=s.get("mask_radius"),
-        snapshot_every=s.get("snapshot_every", 1),
-        floor_alpha=s.get("floor_alpha"),
-        picard_tol=s.get("picard_tol", 1e-10),
-    )
-
-    out = sections.get("outputs", {})
-    outputs = OutputSpec(out.get("directory", "out"),
-                         out.get("csv", "diagnostics.csv"),
-                         out.get("snapshots", "none"))
-    if outputs.snapshots not in ("none", "last", "all"):
-        raise ConfigError(f"outputs.snapshots must be none|last|all, got "
-                          f"{outputs.snapshots!r}", field="outputs")
-
-    pr = sections.get("probes", {})
-    probes = ProbeSpec(pr.get("lp_p", 2.0), pr.get("lp_radius"),
-                       pr.get("dist_target", "auto"))
-    if probes.dist_target not in ("auto", "e_rho", "zero"):
-        raise ConfigError(f"probes.dist_target must be auto|e_rho|zero",
-                          field="probes")
-
-    meta = sections.get("scenario", {})
-    sc = Scenario(meta.get("name", name_hint), kernel, medium, grid, initial,
-                  solver, outputs, probes, asserted=meta.get("asserted", True))
-    validate_scenario(sc)
-    return sc
+        sections[current][key] = _parse_value(_KEY_TYPES[current][key], key, raw_val,
+                                              line_no)
+    return _build_scenario(sections, name_hint)
 
 
 def parse_scenario(path):
@@ -384,68 +354,16 @@ def parse_scenario(path):
     return parse_scenario_text(text, name_hint=stem)
 
 
-def _format_value(key, value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return ",".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_scenario(sc):
-    """Canonical text form; parse(emit(s)) is structurally equal to s."""
-    lines = ["[scenario]", f"name = {sc.name}",
-             f"asserted = {_format_value('asserted', sc.asserted)}", ""]
-    lines.append("[kernel]")
-    lines.append(f"family = {sc.kernel.family}")
-    for k, v in sc.kernel.params.items():
-        lines.append(f"{k} = {_format_value(k, v)}")
-    lines.append(f"trunc_tol = {_format_value('trunc_tol', sc.kernel.trunc_tol)}")
-    lines.append(f"renormalize = {_format_value('renormalize', sc.kernel.renormalize)}")
-    lines.append("")
-    lines.append("[medium]")
-    lines.append(f"family = {sc.medium.family}")
-    for k, v in sc.medium.params.items():
-        lines.append(f"{k} = {_format_value(k, v)}")
-    lines.append("")
-    lines.append("[grid]")
-    lines.append(f"dim = {sc.grid.dim}")
-    lines.append(f"half_extent = {_format_value('half_extent', sc.grid.half_extent)}")
-    lines.append(f"points_per_axis = {sc.grid.points_per_axis}")
-    lines.append("")
-    lines.append("[initial]")
-    lines.append(f"family = {sc.initial.family}")
-    for k, v in sc.initial.params.items():
-        lines.append(f"{k} = {_format_value(k, v)}")
-    if sc.initial.truncate_radius is not None:
-        lines.append(f"truncate_radius = "
-                     f"{_format_value('truncate_radius', sc.initial.truncate_radius)}")
-    lines.append("")
-    lines.append("[solver]")
-    lines.append(f"scheme = {sc.solver.scheme}")
-    lines.append(f"dt = {_format_value('dt', sc.solver.dt)}")
-    lines.append(f"t_end = {_format_value('t_end', sc.solver.t_end)}")
-    lines.append(f"boundary = {sc.solver.boundary}")
-    if sc.solver.mask_radius is not None:
-        lines.append(f"mask_radius = {_format_value('mask_radius', sc.solver.mask_radius)}")
-    lines.append(f"snapshot_every = {sc.solver.snapshot_every}")
-    if sc.solver.floor_alpha is not None:
-        lines.append(f"floor_alpha = {_format_value('floor_alpha', sc.solver.floor_alpha)}")
-    lines.append(f"picard_tol = {_format_value('picard_tol', sc.solver.picard_tol)}")
-    lines.append("")
-    lines.append("[outputs]")
-    lines.append(f"directory = {sc.outputs.directory}")
-    lines.append(f"csv = {sc.outputs.csv}")
-    lines.append(f"snapshots = {sc.outputs.snapshots}")
-    lines.append("")
-    lines.append("[probes]")
-    lines.append(f"lp_p = {_format_value('lp_p', sc.probes.lp_p)}")
-    if sc.probes.lp_radius is not None:
-        lines.append(f"lp_radius = {_format_value('lp_radius', sc.probes.lp_radius)}")
-    lines.append(f"dist_target = {sc.probes.dist_target}")
-    lines.append("")
+    """Canonical text form; parse(emit(s)) is structurally equal to s.
+
+    Raises ConfigError for a string value the format cannot carry.
+    """
+    lines = []
+    for section, data in _sections(sc).items():
+        lines.append(f"[{section}]")
+        lines += [f"{k} = {_format_value(v, section, k)}" for k, v in data.items()]
+        lines.append("")
     return "\n".join(lines)
 
 
@@ -461,8 +379,10 @@ def registry():
     """Built-in scenarios, one per headline long-time result."""
     scenarios = {}
 
-    scenarios["existence-uniqueness"] = Scenario(
-        name="existence-uniqueness",
+    def add(name, **specs):
+        scenarios[name] = Scenario(name=name, outputs=OutputSpec(f"out/{name}"), **specs)
+
+    add("existence-uniqueness",
         kernel=KernelSpec("gaussian", {"sigma": 1.0}, trunc_tol=1e-8),
         medium=MediumSpec("power-decay", {"amplitude": 1.0, "exponent": 2.0}),
         grid=GridSpec(1, 5.0, 41),
@@ -470,12 +390,9 @@ def registry():
         solver=SolverConfig(scheme="picard-oracle", dt=1e-3, t_end=1.0,
                             boundary="zero-extend", snapshot_every=1,
                             floor_alpha=0.3),
-        outputs=OutputSpec("out/existence-uniqueness"),
-        probes=ProbeSpec(lp_radius=2.0),
-    )
+        probes=Probes(lp_radius=2.0))
 
-    scenarios["isothermalization"] = Scenario(
-        name="isothermalization",
+    add("isothermalization",
         kernel=KernelSpec("gaussian", {"sigma": 2.0}),
         medium=MediumSpec("power-decay", {"amplitude": 1.0, "exponent": 2.0}),
         grid=GridSpec(1, 50.0, 801),
@@ -483,12 +400,9 @@ def registry():
         solver=SolverConfig(scheme="exponential", dt=0.25, t_end=500.0,
                             boundary="mask", mask_radius=50.0,
                             snapshot_every=80),
-        outputs=OutputSpec("out/isothermalization"),
-        probes=ProbeSpec(lp_radius=5.0),
-    )
+        probes=Probes(lp_radius=5.0))
 
-    scenarios["flux-decay"] = Scenario(
-        name="flux-decay",
+    add("flux-decay",
         kernel=KernelSpec("gaussian", {"sigma": 1.0}),
         medium=MediumSpec("constant", {"value": 1.0}),
         grid=GridSpec(1, 25.0, 501),
@@ -496,12 +410,9 @@ def registry():
         solver=SolverConfig(scheme="exponential", dt=0.1, t_end=30.0,
                             boundary="mask", mask_radius=20.0,
                             snapshot_every=10),
-        outputs=OutputSpec("out/flux-decay"),
-        probes=ProbeSpec(lp_radius=5.0),
-    )
+        probes=Probes(lp_radius=5.0))
 
-    scenarios["quadratic-growth"] = Scenario(
-        name="quadratic-growth",
+    add("quadratic-growth",
         kernel=KernelSpec("gaussian", {"sigma": 1.0}),
         medium=MediumSpec("power-decay", {"amplitude": 1.0, "exponent": 2.0}),
         grid=GridSpec(1, 30.0, 601),
@@ -509,12 +420,9 @@ def registry():
         solver=SolverConfig(scheme="exponential", dt=0.2, t_end=50.0,
                             boundary="zero-extend", snapshot_every=25,
                             floor_alpha=2.0 ** -12),
-        outputs=OutputSpec("out/quadratic-growth"),
-        probes=ProbeSpec(lp_radius=5.0),
-    )
+        probes=Probes(lp_radius=5.0))
 
-    scenarios["unbounded-isothermalization"] = Scenario(
-        name="unbounded-isothermalization",
+    add("unbounded-isothermalization",
         kernel=KernelSpec("gaussian", {"sigma": 1.0}),
         medium=MediumSpec("power-decay", {"amplitude": 1.0, "exponent": 2.0}),
         grid=GridSpec(1, 30.0, 601),
@@ -522,34 +430,26 @@ def registry():
         solver=SolverConfig(scheme="exponential", dt=0.2, t_end=200.0,
                             boundary="mask", mask_radius=30.0,
                             snapshot_every=50),
-        outputs=OutputSpec("out/unbounded-isothermalization"),
-        probes=ProbeSpec(lp_radius=5.0),
-    )
+        probes=Probes(lp_radius=5.0))
 
-    scenarios["infinite-isothermalization"] = Scenario(
-        name="infinite-isothermalization",
+    add("infinite-isothermalization",
         kernel=KernelSpec("gaussian", {"sigma": 1.0}),
         medium=MediumSpec("power-decay", {"amplitude": 1.0, "exponent": 2.0}),
         grid=GridSpec(1, 30.0, 601),
         initial=InitialSpec("quadratic", {"power": 1.0}, truncate_radius=14.0),
         solver=SolverConfig(scheme="exponential", dt=0.2, t_end=300.0,
                             boundary="zero-extend", snapshot_every=50),
-        outputs=OutputSpec("out/infinite-isothermalization"),
-        probes=ProbeSpec(lp_radius=5.0),
-    )
+        probes=Probes(lp_radius=5.0))
 
-    scenarios["open-problem-explore"] = Scenario(
-        name="open-problem-explore",
+    add("open-problem-explore",
         kernel=KernelSpec("gaussian", {"sigma": 1.0}),
         medium=MediumSpec("constant", {"value": 1.0}),
         grid=GridSpec(1, 30.0, 601),
         initial=InitialSpec("quadratic", {"power": 1.0}, truncate_radius=20.0),
         solver=SolverConfig(scheme="exponential", dt=0.2, t_end=50.0,
                             boundary="zero-extend", snapshot_every=25),
-        outputs=OutputSpec("out/open-problem-explore"),
-        probes=ProbeSpec(lp_radius=5.0, dist_target="zero"),
-        asserted=False,
-    )
+        probes=Probes(lp_radius=5.0, dist_target="zero"),
+        asserted=False)
 
     for sc in scenarios.values():
         validate_scenario(sc)
@@ -591,8 +491,7 @@ def run_scenario(sc, out_dir=None):
     grid, _, medium = validate_scenario(sc)
     stencil = build_stencil(sc.kernel, grid)
     u0 = build_initial(sc.initial, grid)
-    probes = Probes(sc.probes.lp_p, sc.probes.lp_radius, sc.probes.dist_target)
-    traj = run(u0, medium, stencil, sc.solver, probes)
+    traj = run(u0, medium, stencil, sc.solver, sc.probes)
 
     directory = out_dir or sc.outputs.directory
     os.makedirs(directory, exist_ok=True)
@@ -608,11 +507,19 @@ def run_scenario(sc, out_dir=None):
     return traj, csv_path
 
 
-def with_param(sc, dotted_key, value):
-    """Scenario copy with one overridden solver/probe parameter."""
-    key = dotted_key.split(".")[-1]
-    if hasattr(sc.solver, key):
-        return replace(sc, solver=replace(sc.solver, **{key: value}))
-    if hasattr(sc.probes, key):
-        return replace(sc, probes=replace(sc.probes, **{key: value}))
-    raise ConfigError(f"cannot sweep unknown parameter {dotted_key!r}")
+def with_param(sc, key, value):
+    """Scenario copy with one key set, parsed and validated as in a file.
+
+    ``key`` is ``section.key`` or a bare key that only one section has;
+    ``value`` is read from its text form with that key's type.
+    """
+    section, _, name = key.rpartition(".")
+    owners = [s for s, types in _KEY_TYPES.items() if name in types and section in ("", s)]
+    if len(owners) != 1:
+        hint = f"; name one of {[f'{s}.{name}' for s in owners]}" if owners else ""
+        raise ConfigError(f"cannot set parameter {key!r}{hint}")
+    sections = _sections(sc)
+    section = owners[0]
+    sections[section][name] = _parse_value(_KEY_TYPES[section][name], name,
+                                           _format_value(value, section, name))
+    return _build_scenario(sections, sc.name)

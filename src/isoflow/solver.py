@@ -3,6 +3,7 @@ steps, the fixed-point oracle, and monotone approximation drivers."""
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -46,6 +47,10 @@ class SolverConfig:
             raise SolverError(f"unknown scheme {self.scheme!r}")
         if self.boundary not in _BOUNDARIES:
             raise SolverError(f"unknown boundary mode {self.boundary!r}")
+        for name in ("dt", "t_end", "mask_radius", "floor_alpha", "picard_tol"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise SolverError(f"{name} must be finite, got {value!r}")
         if self.dt <= 0 or self.t_end < 0:
             raise SolverError("dt must be positive and t_end nonnegative")
         if self.snapshot_every < 1:
@@ -61,6 +66,7 @@ class Trajectory:
     """Time-ordered snapshots plus per-snapshot diagnostics."""
     snapshots: list = dc_field(default_factory=list)
     diagnostics: list = dc_field(default_factory=list)
+    picard_report: "PicardReport | None" = None   # set by the picard-oracle scheme
 
     def times(self):
         return np.array([t for t, _ in self.snapshots])
@@ -338,22 +344,25 @@ def run(u0, medium, stencil, config, probes=None):
     mask = None
     if config.boundary == "mask":
         mask = DomainMask(grid, config.mask_radius)
-        stepper = _MaskedStepper(grid, medium_eff, stencil, mask,
-                                 config.scheme, config.dt)
-        state = stepper.restrict(u0.values)
+        make_stepper = partial(_MaskedStepper, grid, medium_eff, stencil, mask,
+                               config.scheme)
     else:
-        stepper = _ZeroExtendStepper(grid, medium_eff, stencil,
-                                     config.scheme, config.dt)
-        state = u0.values.copy()
+        make_stepper = partial(_ZeroExtendStepper, grid, medium_eff, stencil,
+                               config.scheme)
+    stepper = make_stepper(config.dt)
+    state = stepper.restrict(u0.values) if mask is not None else u0.values.copy()
 
+    # whole steps of dt, then one shorter step that ends at t_end exactly
     n_steps = int(round(config.t_end / config.dt))
+    remainder = 0.0
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
-        n_steps = int(math.ceil(config.t_end / config.dt - 1e-12))
+        n_steps = int(config.t_end // config.dt)
+        remainder = config.t_end - n_steps * config.dt
     target = _resolve_target(medium_eff, u0, config.boundary, mask, probes)
 
     traj = Trajectory()
 
-    def record(step_idx, t, state):
+    def record(t, state):
         full = state if config.boundary != "mask" else stepper.scatter(state)
         u = Field(grid, full, copy=True)
         u_t = stepper.rate(state)
@@ -365,13 +374,16 @@ def run(u0, medium, stencil, config, probes=None):
         traj.snapshots.append((t, u))
         traj.diagnostics.append(rec)
 
-    record(0, 0.0, state)
-    for k in range(1, n_steps + 1):
+    record(0.0, state)
+    last = n_steps + (remainder > 0)
+    for k in range(1, last + 1):
+        if k > n_steps:
+            stepper = make_stepper(remainder)
         state = stepper.step(state)
         if not np.all(np.isfinite(state)):
             raise NumericalAbort(k)
-        if k % config.snapshot_every == 0 or k == n_steps:
-            record(k, k * config.dt, state)
+        if k % config.snapshot_every == 0 or k == last:
+            record(config.t_end if k > n_steps else k * config.dt, state)
     traj.validate()
     return traj
 

@@ -254,3 +254,110 @@ class TestCLI:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         assert "isothermalization" in capsys.readouterr().out
+
+
+class TestSchemaTable:
+    PINNED_HASHES = {
+        "existence-uniqueness": "ffcc4f4da146",
+        "isothermalization": "2f80f16535ae",
+        "flux-decay": "5a42d6034e65",
+        "quadratic-growth": "157f3fa9a4ed",
+        "unbounded-isothermalization": "aadab526f316",
+        "infinite-isothermalization": "b95d6b74d418",
+        "open-problem-explore": "419641a41fc3",
+    }
+
+    def test_registry_emit_is_pinned(self):
+        # the CSV config_sha256 header of every registry run depends on these bytes
+        assert {n: config_hash(sc) for n, sc in registry().items()} == self.PINNED_HASHES
+
+    def test_with_param_parses_with_the_key_type(self):
+        sc = parse_scenario_text(GOOD_CFG)
+        varied = with_param(sc, "snapshot_every", "5")
+        assert varied.solver.snapshot_every == 5
+        assert isinstance(varied.solver.snapshot_every, int)
+        assert parse_scenario_text(emit_scenario(varied)) == varied
+        assert with_param(sc, "solver.scheme", "euler").solver.scheme == "euler"
+        assert with_param(sc, "kernel.sigma", "0.5").kernel.params == {"sigma": 0.5}
+        with pytest.raises(ConfigError, match="bad number for 'snapshot_every'"):
+            with_param(sc, "snapshot_every", "5.0")
+
+    @pytest.mark.parametrize("key", ["grid.dt", "wobble", "solver.sigma", "a.b.dt"])
+    def test_with_param_rejects_unknown_keys(self, key):
+        with pytest.raises(ConfigError, match="cannot set"):
+            with_param(parse_scenario_text(GOOD_CFG), key, "0.05")
+
+    def test_with_param_rejects_ambiguous_bare_key(self):
+        with pytest.raises(ConfigError, match="kernel.sigma.*medium.sigma"):
+            with_param(parse_scenario_text(GOOD_CFG), "sigma", "0.5")
+
+    @pytest.mark.parametrize("key, value", [("dist_target", "bogus"),
+                                            ("outputs.snapshots", "some"),
+                                            ("initial.family", "cauchy")])
+    def test_with_param_validates_like_a_file(self, key, value):
+        with pytest.raises(ConfigError):
+            with_param(parse_scenario_text(GOOD_CFG), key, value)
+
+    @pytest.mark.parametrize("field, value", [("scenario.name", "a # b"),
+                                              ("scenario.name", "a\nb"),
+                                              ("outputs.csv", " diag.csv"),
+                                              ("outputs.directory", "out/ ")])
+    def test_emit_rejects_unrepresentable_strings(self, field, value):
+        from dataclasses import replace
+        sc = parse_scenario_text(GOOD_CFG)
+        section, key = field.split(".")
+        if section == "scenario":
+            sc = replace(sc, name=value)
+        else:
+            sc = replace(sc, outputs=replace(sc.outputs, **{key: value}))
+        with pytest.raises(ConfigError, match=f"field {field}"):
+            emit_scenario(sc)
+
+
+class TestSweepCLI:
+    def _sweep(self, tmp_path, monkeypatch, param, cfg_text=GOOD_CFG):
+        monkeypatch.setenv("ISOFLOW_THREADS", "1")
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(cfg_text)
+        return main(["sweep", str(cfg), "--param", param, "--out", str(tmp_path / "sw")])
+
+    def test_int_key_writes_a_parseable_scenario(self, tmp_path, monkeypatch):
+        assert self._sweep(tmp_path, monkeypatch, "snapshot_every=5") == 0
+        varied = with_param(parse_scenario_text(GOOD_CFG), "snapshot_every", "5")
+        assert parse_scenario_text(emit_scenario(varied)) == varied
+        header = (tmp_path / "sw" / "sweep-snapshot_every-5" / "diag.csv").read_text()
+        assert f"# config_sha256 = {config_hash(varied)}" in header
+
+    def test_string_key(self, tmp_path, monkeypatch):
+        cfg_text = GOOD_CFG.replace("dt = 0.2", "dt = 0.005").replace("t_end = 2.0",
+                                                                      "t_end = 0.02")
+        assert self._sweep(tmp_path, monkeypatch, "scheme=euler,exponential",
+                           cfg_text) == 0
+        for scheme in ("euler", "exponential"):
+            assert (tmp_path / "sw" / f"sweep-scheme-{scheme}" / "diag.csv").exists()
+
+    def test_directories_named_by_token(self, tmp_path, monkeypatch):
+        assert self._sweep(tmp_path, monkeypatch, "dt=0.1234567,0.1234568") == 0
+        for tok in ("0.1234567", "0.1234568"):
+            assert (tmp_path / "sw" / f"sweep-dt-{tok}" / "diag.csv").exists()
+
+    def test_bad_value_fails_before_any_run(self, tmp_path, monkeypatch, capsys):
+        assert self._sweep(tmp_path, monkeypatch, "dist_target=auto,bogus") == 2
+        assert "dist_target" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("old, new", [
+    ("dt = 0.2", "dt = inf"),
+    ("t_end = 2.0", "t_end = inf"),
+    ("dt = 0.2", "dt = nan"),
+    ("mask_radius = 10.0", "mask_radius = inf"),
+    ("snapshot_every = 2", "snapshot_every = 2\nfloor_alpha = inf"),
+    ("snapshot_every = 2", "snapshot_every = 2\npicard_tol = nan"),
+], ids=["dt-inf", "t_end-inf", "dt-nan", "mask_radius-inf", "floor_alpha-inf",
+        "picard_tol-nan"])
+def test_non_finite_solver_number_is_a_config_error(tmp_path, capsys, old, new):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(GOOD_CFG.replace(old, new))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "must be finite" in capsys.readouterr().err

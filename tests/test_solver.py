@@ -237,6 +237,29 @@ class TestRun:
             SolverConfig(scheme="picard-oracle", boundary="mask",
                          mask_radius=5.0).validate()
 
+    @pytest.mark.parametrize("boundary", ["zero-extend", "mask"])
+    def test_final_partial_step_lands_on_t_end(self, setup_1d, boundary):
+        g, s, m = setup_1d
+        mask = DomainMask(g, 10.0) if boundary == "mask" else None
+        u0 = Field.from_function(g, lambda x: np.exp(-x * x))
+        cfg = SolverConfig(scheme="exponential", dt=0.3, t_end=1.0, boundary=boundary,
+                           mask_radius=10.0 if mask else None, snapshot_every=1)
+        traj = run(u0, m, s, cfg)
+        np.testing.assert_allclose(traj.times(), [0.0, 0.3, 0.6, 0.9, 1.0], atol=1e-15)
+        assert traj.times()[-1] == 1.0
+        want = u0 if mask is None else Field(g, u0.values * mask.indicator())
+        for dt in (0.3, 0.3, 0.3, 0.1):
+            want = step_exponential(want, m, s, dt, boundary=boundary, mask=mask)
+        assert np.max(np.abs(traj.final().values - want.values)) <= 1e-12
+
+    @pytest.mark.parametrize("t_end", [0.05, 0.45])
+    def test_short_remainder_recorded_once(self, setup_1d, t_end):
+        g, s, m = setup_1d
+        cfg = SolverConfig(scheme="exponential", dt=0.1, t_end=t_end, snapshot_every=2)
+        times = run(Field.zeros(g), m, s, cfg).times()
+        assert times[-1] == t_end
+        assert np.all(np.diff(times) > 0)
+
 
 @pytest.fixture(params=[(1, None), (1, (2.0, 5.0)), (2, None), (2, (1.5, 2.6))],
                 ids=["1d", "1d-split", "2d", "2d-split"])
@@ -292,6 +315,17 @@ class TestMaskedSweep:
 
 
 class TestPicard:
+    def test_report_is_a_declared_field(self):
+        from dataclasses import fields
+        from isoflow import Trajectory
+        assert Trajectory().picard_report is None
+        assert "picard_report" in {f.name for f in fields(Trajectory)}
+        g = Grid(1, 5.0, 41)
+        s = discretize(Kernel.gaussian(1.0), g.spacing, trunc_tol=1e-8)
+        m = floor(Medium.power_decay(1.0, 2.0), 0.3)
+        cfg = SolverConfig(scheme="picard-oracle", dt=1e-2, t_end=0.2)
+        assert run(Field.constant(g, 1.0), m, s, cfg).picard_report.windows
+
     def test_constant_data(self):
         g = Grid(1, 5.0, 41)
         s = discretize(Kernel.gaussian(1.0), g.spacing, trunc_tol=1e-8)
