@@ -10,9 +10,8 @@ from .media import (Medium, MediumClassification, MediumError, classify,
 from .solver import (NumericalAbort, Probes, SolverConfig, SolverError,
                      Trajectory, monotone_approx_run, picard_solve, run,
                      stability_dt, step_euler, step_exponential, trust_radius)
-from .diagnostics import (DiagnosticsRecord, dissipation_budget, growth_exponent,
-                          lyapunov_F, lyapunov_identity_check, mass,
-                          weighted_energy)
+from .diagnostics import (DiagnosticsRecord, dissipation_budget, lyapunov_F,
+                          lyapunov_identity_check, mass, weighted_energy)
 from .verify import (comparison_harness, quadratic_identity, run_suite,
                      steady_state_nullspace, supersolution_residual)
 from .scenario import (ConfigError, Scenario, emit_scenario, parse_scenario,
@@ -30,7 +29,7 @@ __all__ = [
     "NumericalAbort", "Probes", "SolverConfig", "SolverError", "Trajectory",
     "monotone_approx_run", "picard_solve", "run", "stability_dt", "step_euler",
     "step_exponential", "trust_radius",
-    "DiagnosticsRecord", "dissipation_budget", "growth_exponent", "lyapunov_F",
+    "DiagnosticsRecord", "dissipation_budget", "lyapunov_F",
     "lyapunov_identity_check", "mass", "weighted_energy",
     "comparison_harness", "quadratic_identity", "run_suite",
     "steady_state_nullspace", "supersolution_residual",

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridError, _slice_pair, box_quad_weights, lp_local_distance
+from .grids import (GridError, _check_mask, _fft_convolve, _fft_plan, box_quad_weights,
+                    lp_local_distance)
 
 
 @dataclass
@@ -65,35 +66,28 @@ def lyapunov_F(u, stencil, boundary="zero-extend", mask=None):
     """Pair-difference energy h^N sum_x sum_k w_k (u(x) - u(x - k h))^2.
 
     Under zero-extend, out-of-grid neighbors count as zero; under mask, pairs
-    with either endpoint outside the mask are omitted. Nonnegative, exactly
-    translation invariant in u, and quadratic under scaling.
+    with either endpoint outside the mask are omitted. With chi the mask (all
+    ones under zero-extend), kappa = chi J*chi and v = u minus its mean over
+    chi, this is 2 h^N (<chi v^2, kappa> - <chi v, J*(chi v)>) plus, under
+    zero-extend only, the out-of-grid kernel mass term h^N <u^2, sum w - J*1>.
+    Nonnegative and quadratic under scaling; in mask mode translation
+    invariant in u to rounding.
     """
-    vals = u.values
+    grid = u.grid
     if boundary == "mask":
-        if mask is None or mask.grid != u.grid:
-            raise GridError("mask boundary mode needs a DomainMask on the same grid")
-        vals = vals * mask.indicator()
-        inside = mask.inside
-    elif boundary != "zero-extend":
+        _check_mask(mask, grid)
+        chi = mask.indicator()
+    elif boundary == "zero-extend":
+        chi = np.ones(grid.shape)
+    else:
         raise GridError(f"unknown boundary mode {boundary!r}")
-    total = 0.0
-    sumsq_all = float(np.sum(vals * vals))
-    for offset, w in zip(stencil.offsets, stencil.weights):
-        if np.all(offset == 0):
-            continue
-        dst, src = _slice_pair(vals.shape, offset)
-        if boundary == "mask":
-            ok = inside[dst] & inside[src]
-            diff = np.where(ok, vals[dst] - vals[src], 0.0)
-            total += w * float(np.sum(diff * diff))
-        else:
-            diff = vals[dst] - vals[src]
-            s = float(np.sum(diff * diff))
-            # nodes whose shifted partner falls outside the grid pair with 0
-            s += sumsq_all - float(np.sum(vals[dst] ** 2))
-            total += w * s
-    h = u.grid.spacing
-    return float(h ** u.grid.dim * total)
+    plan = _fft_plan(grid.shape, stencil)
+    kappa = chi * _fft_convolve(chi, plan)
+    v = chi * (u.values - np.mean(u.values[chi > 0]))
+    total = 2.0 * (np.sum(v * v * kappa) - np.sum(v * _fft_convolve(v, plan)))
+    if boundary == "zero-extend":
+        total += np.sum(u.values ** 2 * (stencil.weight_sum() - kappa))
+    return float(grid.spacing ** grid.dim * total)
 
 
 def compute_record(t, u, medium, stencil, *, boundary="zero-extend", mask=None,
@@ -218,19 +212,3 @@ def dissipation_budget(traj, medium, mask=None, start=0):
     ks = range(start, len(snaps))
     vals = np.array([rate_sq(k) for k in ks])
     return float(np.trapezoid(vals, times[start:]))
-
-
-def growth_exponent(u, r_lo, r_hi):
-    """Least-squares slope of log u against log(1 + |x|) over a radial band.
-
-    Measurement only; no claims are attached to the value.
-    """
-    r = u.grid.radius().ravel()
-    v = u.values.ravel()
-    band = (r >= r_lo) & (r <= r_hi) & (v > 0)
-    if np.count_nonzero(band) < 2:
-        raise GridError("growth band contains fewer than 2 usable nodes")
-    x = np.log1p(r[band])
-    y = np.log(v[band])
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)

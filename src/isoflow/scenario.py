@@ -215,7 +215,14 @@ def validate_scenario(sc):
         raise ConfigError(str(exc), field="grid") from exc
     kern = build_kernel(sc.kernel, grid.dim)
     medium = build_medium(sc.medium, grid.dim)
-    _family_params("initial", sc.initial)
+    init = _family_params("initial", sc.initial)
+    if sc.initial.family == "table":
+        radii, values = (np.asarray(init[k], dtype=float) for k in ("radii", "values"))
+        if not (len(radii) == len(values) >= 1 and np.all(np.isfinite(radii))
+                and np.all(np.isfinite(values)) and np.all(np.diff(radii) > 0)):
+            raise ConfigError("initial family 'table' needs finite radii and values of "
+                              "equal length >= 1, with radii strictly increasing",
+                              field="initial")
     try:
         sc.solver.validate()
     except Exception as exc:

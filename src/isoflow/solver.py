@@ -6,11 +6,10 @@ from dataclasses import dataclass, field as dc_field
 from functools import partial
 
 import numpy as np
-from scipy import fft as sp_fft
 from scipy import sparse
 
 from . import diagnostics
-from .grids import (DomainMask, Field, _check_stencil_fits, _convolve_zero_extend,
+from .grids import (DomainMask, Field, _check_mask, _check_stencil_fits, _fft_convolve,
                     _fft_plan, _slice_pair, masked_exchange_matrix)
 from .kernels import stencil_second_moment
 from .media import classify, floor as floor_medium
@@ -97,14 +96,7 @@ def _check_euler_dt(rho, dt):
 
 
 # ---------------------------------------------------------------------------
-# single-step operations (zero-extend: reference loops that the FFT stepper
-# matches to rounding; mask: one step of the sweep path of _MaskedStepper)
-
-
-def _mask_kappa(stencil, mask):
-    """In-domain kernel mass per node: sum over interior y of w(x - y)."""
-    chi = mask.indicator()
-    return _convolve_zero_extend(chi, stencil) * chi
+# steppers: one per boundary mode, shared by the run loop and the one-shot steps
 
 
 def _effective_step(rho, kappa, dt):
@@ -115,61 +107,9 @@ def _effective_step(rho, kappa, dt):
     return rho * (-np.expm1(-kappa * dt / rho)) / kappa
 
 
-def _masked_step(u, medium, stencil, mask, scheme, dt):
-    """One masked step through the offset sweep; data outside the mask is dropped."""
-    if mask is None or mask.grid != u.grid:
-        raise SolverError("mask boundary mode needs a DomainMask on the same grid")
-    stepper = _MaskedStepper(u.grid, medium, stencil, mask, scheme, dt, nnz_cap=0)
-    out = stepper.scatter(stepper.step(stepper.restrict(u.values)))
-    return Field(u.grid, out, copy=False)
-
-
-def step_euler(u, medium, stencil, dt, boundary="zero-extend", mask=None):
-    """One forward-difference step of rho u_t = J*u - u.
-
-    Requires dt within the stability bound min(rho); the masked form exchanges
-    only between mask-interior nodes and conserves the rho-weighted mass.
-    """
-    _check_stencil_fits(u, stencil)
-    grid = u.grid
-    rho = medium.sample(grid)
-    _check_euler_dt(rho, dt)
-    if boundary == "zero-extend":
-        conv = _convolve_zero_extend(u.values, stencil)
-        return Field(grid, u.values + dt * (conv - u.values) / rho, copy=False)
-    if boundary == "mask":
-        return _masked_step(u, medium, stencil, mask, "euler", dt)
-    raise SolverError(f"unknown boundary mode {boundary!r}")
-
-
-def step_exponential(u, medium, stencil, dt, boundary="zero-extend", mask=None):
-    """One integrating-factor step with the convolution frozen over the step.
-
-    Zero-extend: u+ = e^(-dt/rho) u + (1 - e^(-dt/rho)) J*u, the exact flow of
-    the frozen-convolution equation. Masked: the conservative pairwise form of
-    the same update (see _MaskedStepper), which keeps the exact
-    discrete conservation law at any dt. Both are positivity-preserving and
-    bounded by the data range for renormalized stencils, with no dt
-    restriction.
-    """
-    if dt <= 0:
-        raise SolverError("dt must be positive")
-    _check_stencil_fits(u, stencil)
-    if boundary == "zero-extend":
-        conv = _convolve_zero_extend(u.values, stencil)
-        a = np.exp(-dt / medium.sample(u.grid))
-        return Field(u.grid, a * u.values + (1.0 - a) * conv, copy=False)
-    if boundary == "mask":
-        return _masked_step(u, medium, stencil, mask, "exponential", dt)
-    raise SolverError(f"unknown boundary mode {boundary!r}")
-
-
-# ---------------------------------------------------------------------------
-# precompiled steppers for the run loop
-
-
 class _ZeroExtendStepper:
-    """FFT-backed fixed-dt stepper for the zero-extend boundary."""
+    """FFT-backed fixed-dt stepper for the zero-extend boundary; its state is
+    the full grid array."""
 
     def __init__(self, grid, medium, stencil, scheme, dt):
         self.grid = grid
@@ -178,35 +118,37 @@ class _ZeroExtendStepper:
         self.rho = medium.sample(grid)
         if scheme == "euler":
             _check_euler_dt(self.rho, dt)
-        self.pad_shape, self.khat = _fft_plan(grid.shape, stencil)
-        self.region = tuple(slice(0, n) for n in grid.shape)
+        self.plan = _fft_plan(grid.shape, stencil)
         self.decay = np.exp(-dt / self.rho)
 
-    def _conv(self, values):
-        fpad = np.zeros(self.pad_shape)
-        fpad[self.region] = values
-        return sp_fft.irfftn(sp_fft.rfftn(fpad) * self.khat, s=self.pad_shape)[self.region]
+    def restrict(self, values):
+        return values
+
+    def scatter(self, vec):
+        return vec
 
     def step(self, values):
-        conv = self._conv(values)
+        conv = _fft_convolve(values, self.plan)
         if self.scheme == "euler":
             return values + self.dt * (conv - values) / self.rho
         return self.decay * values + (1.0 - self.decay) * conv
 
     def rate(self, values):
         """Operator-based u_t = (J*u - u)/rho for diagnostics."""
-        return (self._conv(values) - values) / self.rho
+        return (_fft_convolve(values, self.plan) - values) / self.rho
 
 
 class _MaskedStepper:
     """Fixed-dt stepper for the masked (no-flux) boundary, on mask-node vectors.
 
-    An exponential step adds the antisymmetric pair exchange (see _exchange)
-    at the integrating-factor rate r_eff; an Euler step is u + dt * rate(u),
-    the same exchange at r = 1. Mask nodes x stencil offsets within
-    ``nnz_cap`` store the exchange once as CSR matrices (about 12 bytes per
-    pair each; one sparse matvec a step). Above the cap nothing per pair is
-    stored and each step sweeps half the offsets as flat shifts of the grid.
+    ``rate()`` is (chi J*(chi u) - kappa u)/rho with the in-domain kernel mass
+    kappa = chi J*chi, both by FFT; an Euler step is u + dt * rate(u). An
+    exponential step adds the antisymmetric pair exchange (see _exchange) at
+    the integrating-factor rate r_eff, which is no convolution. Mask nodes x
+    stencil offsets within ``nnz_cap`` store that exchange once as a CSR
+    matrix (about 12 bytes per pair; one sparse matvec a step). Above the cap
+    nothing per pair is stored and each step sweeps half the offsets as flat
+    shifts of the grid.
     """
 
     def __init__(self, grid, medium, stencil, mask, scheme, dt, nnz_cap=20_000_000):
@@ -217,22 +159,20 @@ class _MaskedStepper:
         self.rho = medium.sample(grid)[self.inside]
         if scheme == "euler":
             _check_euler_dt(self.rho, dt)
-        self.matrix_mode = mask.n_nodes * len(stencil) <= nnz_cap
-        if self.matrix_mode:
-            self.W = masked_exchange_matrix(stencil, mask, nnz_cap)
-            self.kdiag = np.asarray(self.W.sum(axis=1)).ravel()
-            kappa = self.kdiag + stencil.self_weight()
-        else:
-            kappa = _mask_kappa(stencil, mask)[self.inside]
-        if np.any(kappa <= 0):
+        self.plan = _fft_plan(grid.shape, stencil)
+        self.kappa = _fft_convolve(mask.indicator(), self.plan)[self.inside]
+        # FFT rounding leaves about 1e-17 of the weight sum where the mass is 0
+        if np.any(self.kappa <= 1e-12 * stencil.weight_sum()):
             raise SolverError("mask contains a node with zero in-domain kernel mass")
-        r_eff = _effective_step(self.rho, kappa, dt)
+        self.matrix_mode = mask.n_nodes * len(stencil) <= nnz_cap
+        if scheme == "euler":
+            return
+        r_eff = _effective_step(self.rho, self.kappa, dt)
         if self.matrix_mode:
-            if scheme == "exponential":
-                coo = self.W.tocoo()
-                data = coo.data * np.minimum(r_eff[coo.row], r_eff[coo.col])
-                self.C = sparse.csr_matrix((data, (coo.row, coo.col)), shape=self.W.shape)
-                self.cdiag = np.asarray(self.C.sum(axis=1)).ravel()
+            coo = masked_exchange_matrix(stencil, mask, nnz_cap).tocoo()
+            data = coo.data * np.minimum(r_eff[coo.row], r_eff[coo.col])
+            self.C = sparse.csr_matrix((data, (coo.row, coo.col)), shape=coo.shape)
+            self.cdiag = np.asarray(self.C.sum(axis=1)).ravel()
             return
         # pad every row with halfwidths[-1] zeros: each offset is then one
         # flat shift, and a neighbour past the end of a row lands in padding
@@ -244,10 +184,9 @@ class _MaskedStepper:
         pad_inside[tuple(slice(0, n) for n in grid.shape)] = self.inside
         self.flat = np.flatnonzero(pad_inside)
         n = pad_inside.size
-        self.r_gen = pad_inside.ravel().astype(float)
         self.r_eff = np.zeros(n)
         self.r_eff[self.flat] = r_eff
-        # scratch shared by step() and rate(); _u stays zero off the mask
+        # scratch for _exchange; _u stays zero off the mask
         self._u, self._out = np.zeros(n), np.empty(n)
         self._scratch = (np.empty(n), np.empty(n))
 
@@ -259,15 +198,15 @@ class _MaskedStepper:
         out[self.inside] = vec
         return out
 
-    def _exchange(self, state, r):
-        """sum_k w_k min(r(x), r(x-k)) (u(x-k) - u(x)) at the mask nodes.
+    def _exchange(self, state):
+        """sum_k w_k min(r(x), r(x-k)) (u(x-k) - u(x)) at the mask nodes, r = r_eff.
 
         r is zero off the mask and in the padding, which cuts every pair that
         leaves the domain. Each +/- offset pair is visited once, its flux
         added at one end and subtracted at the other: the exchange is
         antisymmetric, so sum(rho u) is conserved to rounding.
         """
-        u, out, (f_all, d_all) = self._u, self._out, self._scratch
+        u, out, r, (f_all, d_all) = self._u, self._out, self.r_eff, self._scratch
         u[self.flat] = state
         out.fill(0.0)
         for s, w in zip(self.shifts, self.weights):
@@ -286,13 +225,54 @@ class _MaskedStepper:
             return state + self.dt * self.rate(state)
         if self.matrix_mode:
             return state + (self.C @ state - self.cdiag * state) / self.rho
-        return state + self._exchange(state, self.r_eff) / self.rho
+        return state + self._exchange(state) / self.rho
 
     def rate(self, state):
         """Generator u_t = (J*u - u)/rho over the mask nodes."""
-        if self.matrix_mode:
-            return (self.W @ state - self.kdiag * state) / self.rho
-        return self._exchange(state, self.r_gen) / self.rho
+        conv = _fft_convolve(self.scatter(state), self.plan)[self.inside]
+        return (conv - self.kappa * state) / self.rho
+
+
+def _make_stepper(grid, medium, stencil, scheme, dt, boundary, mask, nnz_cap=20_000_000):
+    if boundary == "zero-extend":
+        return _ZeroExtendStepper(grid, medium, stencil, scheme, dt)
+    if boundary == "mask":
+        _check_mask(mask, grid)
+        return _MaskedStepper(grid, medium, stencil, mask, scheme, dt, nnz_cap)
+    raise SolverError(f"unknown boundary mode {boundary!r}")
+
+
+def _one_step(u, medium, stencil, scheme, dt, boundary, mask):
+    """One step of the stepper for ``boundary``; a masked step takes the
+    sweep path and drops the data outside the mask."""
+    _check_stencil_fits(u, stencil)
+    stepper = _make_stepper(u.grid, medium, stencil, scheme, dt, boundary, mask, nnz_cap=0)
+    out = stepper.scatter(stepper.step(stepper.restrict(u.values)))
+    return Field(u.grid, out, copy=False)
+
+
+def step_euler(u, medium, stencil, dt, boundary="zero-extend", mask=None):
+    """One forward-difference step of rho u_t = J*u - u.
+
+    Requires dt within the stability bound min(rho); the masked form exchanges
+    only between mask-interior nodes and conserves the rho-weighted mass.
+    """
+    return _one_step(u, medium, stencil, "euler", dt, boundary, mask)
+
+
+def step_exponential(u, medium, stencil, dt, boundary="zero-extend", mask=None):
+    """One integrating-factor step with the convolution frozen over the step.
+
+    Zero-extend: u+ = e^(-dt/rho) u + (1 - e^(-dt/rho)) J*u, the exact flow of
+    the frozen-convolution equation. Masked: the conservative pairwise form of
+    the same update (see _MaskedStepper), which keeps the exact
+    discrete conservation law at any dt. Both are positivity-preserving and
+    bounded by the data range for renormalized stencils, with no dt
+    restriction.
+    """
+    if dt <= 0:
+        raise SolverError("dt must be positive")
+    return _one_step(u, medium, stencil, "exponential", dt, boundary, mask)
 
 
 @dataclass
@@ -341,16 +321,11 @@ def run(u0, medium, stencil, config, probes=None):
     if config.scheme == "picard-oracle":
         return _picard_run(u0, medium_eff, stencil, config, probes)
 
-    mask = None
-    if config.boundary == "mask":
-        mask = DomainMask(grid, config.mask_radius)
-        make_stepper = partial(_MaskedStepper, grid, medium_eff, stencil, mask,
-                               config.scheme)
-    else:
-        make_stepper = partial(_ZeroExtendStepper, grid, medium_eff, stencil,
-                               config.scheme)
+    mask = DomainMask(grid, config.mask_radius) if config.boundary == "mask" else None
+    make_stepper = partial(_make_stepper, grid, medium_eff, stencil, config.scheme,
+                           boundary=config.boundary, mask=mask)
     stepper = make_stepper(config.dt)
-    state = stepper.restrict(u0.values) if mask is not None else u0.values.copy()
+    state = stepper.restrict(u0.values)
 
     # whole steps of dt, then one shorter step that ends at t_end exactly
     n_steps = int(round(config.t_end / config.dt))
@@ -363,11 +338,8 @@ def run(u0, medium, stencil, config, probes=None):
     traj = Trajectory()
 
     def record(t, state):
-        full = state if config.boundary != "mask" else stepper.scatter(state)
-        u = Field(grid, full, copy=True)
-        u_t = stepper.rate(state)
-        if config.boundary == "mask":
-            u_t = stepper.scatter(u_t)
+        u = Field(grid, stepper.scatter(state), copy=True)
+        u_t = stepper.scatter(stepper.rate(state))
         rec = diagnostics.compute_record(
             t, u, medium_eff, stencil, boundary=config.boundary, mask=mask,
             target=target, lp_p=probes.lp_p, lp_radius=probes.lp_radius, u_t=u_t)

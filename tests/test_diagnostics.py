@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from isoflow import (DomainMask, Field, Grid, Kernel, Medium, SolverConfig,
-                     discretize, dissipation_budget, floor, growth_exponent,
-                     lyapunov_F, lyapunov_identity_check, mass, run)
-from isoflow.grids import GridError
+                     discretize, dissipation_budget, floor, lyapunov_F,
+                     lyapunov_identity_check, mass, run)
+from isoflow.grids import GridError, _slice_pair
 
 
 def brute_lyapunov(u, stencil, mask=None):
@@ -29,6 +29,26 @@ def brute_lyapunov(u, stencil, mask=None):
                     continue
                 other = 0.0
             total += w * (vals[idx] - other) ** 2
+    return u.grid.spacing ** u.grid.dim * total
+
+
+def loop_lyapunov_F(u, stencil, mask=None):
+    # one pass per stencil offset, in the order of the double sum
+    vals = u.values if mask is None else u.values * mask.indicator()
+    sumsq_all = float(np.sum(vals * vals))
+    total = 0.0
+    for offset, w in zip(stencil.offsets, stencil.weights):
+        if np.all(offset == 0):
+            continue
+        dst, src = _slice_pair(vals.shape, offset)
+        diff = vals[dst] - vals[src]
+        if mask is not None:
+            diff = np.where(mask.inside[dst] & mask.inside[src], diff, 0.0)
+            total += w * float(np.sum(diff * diff))
+        else:
+            # nodes whose shifted partner falls outside the grid pair with 0
+            total += w * (float(np.sum(diff * diff)) + sumsq_all
+                          - float(np.sum(vals[dst] ** 2)))
     return u.grid.spacing ** u.grid.dim * total
 
 
@@ -102,6 +122,25 @@ class TestLyapunovF:
         u = Field(g, rng.standard_normal(g.shape))
         got = lyapunov_F(u, s, "mask", mask)
         assert got == pytest.approx(brute_lyapunov(u, s, mask), rel=1e-12)
+
+    @pytest.mark.parametrize("dim, boundary, band", [
+        (1, "zero-extend", None), (2, "zero-extend", None),
+        (1, "mask", None), (1, "mask", (2.0, 5.0)),
+        (2, "mask", None), (2, "mask", (1.5, 2.6)),
+    ], ids=["1d", "2d", "1d-mask", "1d-split", "2d-mask", "2d-split"])
+    def test_matches_offset_loop(self, dim, boundary, band):
+        if dim == 1:
+            g, sigma, tol = Grid(1, 10.0, 201), 1.0, 1e-12
+        else:
+            g, sigma, tol = Grid(2, 4.0, 41), 0.6, 1e-8
+        s = discretize(Kernel.gaussian(sigma, dim=dim), g.spacing, trunc_tol=tol)
+        mask = (DomainMask(g, g.half_extent, exclude_band=band)
+                if boundary == "mask" else None)
+        rng = np.random.default_rng(12)
+        for vals in (rng.random(g.shape), 3.0 + rng.random(g.shape)):
+            u = Field(g, vals)
+            got = lyapunov_F(u, s, boundary, mask)
+            assert got == pytest.approx(loop_lyapunov_F(u, s, mask), rel=1e-12)
 
     def test_translation_invariance_exact(self, setup):
         g, s, m = setup
@@ -215,15 +254,3 @@ class TestRecordInvariants:
             assert rec.dissipation >= 0.0
             assert rec.inf_u <= rec.u_at_origin <= rec.sup_u
 
-
-class TestGrowthExponent:
-    def test_quadratic_profile(self):
-        g = Grid(1, 50.0, 1001)
-        u = Field(g, (1.0 + g.radius() ** 2))
-        slope = growth_exponent(u, 10.0, 50.0)
-        assert slope == pytest.approx(2.0, abs=0.1)
-
-    def test_constant_profile(self):
-        g = Grid(1, 50.0, 1001)
-        slope = growth_exponent(Field.constant(g, 3.0), 10.0, 50.0)
-        assert slope == pytest.approx(0.0, abs=1e-12)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import special
 
-from isoflow import (DomainMask, Field, Grid, GridError, Kernel, convolve_direct,
+from isoflow import (DomainMask, Field, Grid, GridError, Kernel, Medium, convolve_direct,
                      convolve_fft, discretize, integrate, lp_local_distance,
-                     read_snapshot, stencil_second_moment, write_snapshot)
+                     lyapunov_F, read_snapshot, step_euler, step_exponential,
+                     stencil_second_moment, write_snapshot)
 from isoflow.grids import masked_exchange_matrix
 
 
@@ -150,6 +151,21 @@ class TestConvolveDirect:
         s = discretize(Kernel.gaussian(1.0), g.spacing)
         with pytest.raises(GridError):
             convolve_direct(Field.zeros(g), s)
+
+
+@pytest.mark.parametrize("call", [
+    lambda u, s, mask: convolve_direct(u, s, "mask", mask),
+    lambda u, s, mask: lyapunov_F(u, s, "mask", mask),
+    lambda u, s, mask: step_euler(u, Medium.constant(1.0), s, 0.1, "mask", mask),
+    lambda u, s, mask: step_exponential(u, Medium.constant(1.0), s, 0.1, "mask", mask),
+], ids=["convolve_direct", "lyapunov_F", "step_euler", "step_exponential"])
+@pytest.mark.parametrize("other_grid", [False, True], ids=["no-mask", "other-grid"])
+def test_mask_must_live_on_the_field_grid(call, other_grid):
+    g = Grid(1, 5.0, 51)
+    s = discretize(Kernel.gaussian(0.5), g.spacing)
+    mask = DomainMask(Grid(1, 5.0, 41), 3.0) if other_grid else None
+    with pytest.raises(GridError, match="same grid"):
+        call(Field.zeros(g), s, mask)
 
 
 class TestConvolveFFT:

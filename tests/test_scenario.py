@@ -137,12 +137,14 @@ class TestRunScenario:
         sc = parse_scenario_text(GOOD_CFG)
         _, p1 = run_scenario(sc, out_dir=str(tmp_path / "a"))
         _, p2 = run_scenario(sc, out_dir=str(tmp_path / "b"))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        with open(p1, "rb") as f1, open(p2, "rb") as f2:
+            assert f1.read() == f2.read()
 
     def test_csv_schema(self, tmp_path):
         sc = parse_scenario_text(GOOD_CFG)
         _, path = run_scenario(sc, out_dir=str(tmp_path))
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
         header = [ln for ln in lines if not ln.startswith("#")][0]
         assert header == ("t,mass,lyapunov_F,sup_u,inf_u,dist_L1rho_to_E,"
                           "lp_local_p,lp_local_val,u_at_origin")
@@ -160,8 +162,9 @@ class TestRunScenario:
     def test_mask_mass_constant_in_csv(self, tmp_path):
         sc = parse_scenario_text(GOOD_CFG)
         _, path = run_scenario(sc, out_dir=str(tmp_path))
-        rows = [ln.split(",") for ln in open(path).read().splitlines()
-                if ln and not ln.startswith("#") and not ln.startswith("t,")]
+        with open(path) as fh:
+            rows = [ln.split(",") for ln in fh.read().splitlines()
+                    if ln and not ln.startswith("#") and not ln.startswith("t,")]
         masses = np.array([float(r[1]) for r in rows])
         assert np.max(np.abs(masses - masses[0])) <= 1e-12 * abs(masses[0])
 
@@ -361,3 +364,25 @@ def test_non_finite_solver_number_is_a_config_error(tmp_path, capsys, old, new):
     cfg.write_text(GOOD_CFG.replace(old, new))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radii, values", [
+    ("0,1,2", "1"),
+    ("3,2,1,0", "0,1,2,3"),
+    ("0,1,1", "1,2,3"),
+    ("0,1,inf", "1,2,3"),
+    ("0,1,2", "1,nan,3"),
+], ids=["length-mismatch", "decreasing", "repeated", "inf-radius", "nan-value"])
+def test_bad_initial_table_is_a_config_error(tmp_path, capsys, radii, values):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(GOOD_CFG.replace("family = gaussian-bump\nheight = 1.0\nwidth = 1.0",
+                                    f"family = table\nradii = {radii}\nvalues = {values}"))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "field initial" in capsys.readouterr().err
+
+
+def test_good_initial_table_runs(tmp_path):
+    cfg = tmp_path / "good.cfg"
+    cfg.write_text(GOOD_CFG.replace("family = gaussian-bump\nheight = 1.0\nwidth = 1.0",
+                                    "family = table\nradii = 0,1,5\nvalues = 2,1,0"))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0

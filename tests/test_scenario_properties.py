@@ -51,7 +51,13 @@ def scenarios(draw):
     kernel = KernelSpec(family, params, trunc_tol=draw(st.floats(1e-14, 1e-4)),
                         renormalize=draw(st.booleans()))
     medium = MediumSpec(*_family(draw, "medium", st.floats(0.1, 5.0)))
-    initial = InitialSpec(*_family(draw, "initial", finite),
+    family, params = _family(draw, "initial", finite)
+    if family == "table":
+        # strictly increasing radii with one value each
+        radii = sorted(set(draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=4))))
+        params = {"radii": radii, "values": draw(st.lists(finite, min_size=len(radii),
+                                                          max_size=len(radii)))}
+    initial = InitialSpec(family, params,
                           truncate_radius=draw(st.none() | st.floats(0.0, 1e3)))
 
     scheme = draw(st.sampled_from(["euler", "exponential", "picard-oracle"]))

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from isoflow import (DomainMask, Field, Grid, Kernel, Medium, NumericalAbort,
-                     SolverConfig, SolverError, discretize, floor,
-                     monotone_approx_run, picard_solve, run, stability_dt,
+                     SolverConfig, SolverError, Stencil, convolve_direct, discretize,
+                     floor, monotone_approx_run, picard_solve, run, stability_dt,
                      step_euler, step_exponential, trust_radius)
 from isoflow.diagnostics import mass
+from isoflow.grids import masked_exchange_matrix
 from isoflow.solver import _MaskedStepper
 
 
@@ -261,6 +262,37 @@ class TestRun:
         assert np.all(np.diff(times) > 0)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_zero_extend_steps_match_direct_convolution(dim):
+    if dim == 1:
+        g, sigma = Grid(1, 10.0, 201), 1.0
+    else:
+        g, sigma = Grid(2, 4.0, 41), 0.6
+    s = discretize(Kernel.gaussian(sigma, dim=dim), g.spacing, trunc_tol=1e-8)
+    m = Medium.power_decay(1.0, 2.0, dim=dim)
+    u = Field(g, np.random.default_rng(13).random(g.shape))
+    rho = m.sample(g)
+    conv = convolve_direct(u, s).values
+    dt = 0.9 * stability_dt(m, g)
+    a = np.exp(-0.7 / rho)
+    for got, want in ((step_euler(u, m, s, dt), u.values + dt * (conv - u.values) / rho),
+                      (step_exponential(u, m, s, 0.7), a * u.values + (1.0 - a) * conv)):
+        assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("nnz_cap", [20_000_000, 0], ids=["csr", "sweep"])
+def test_isolated_mask_node_without_self_weight_rejected(nnz_cap):
+    g = Grid(1, 5.0, 51)
+    s = discretize(Kernel.gaussian(0.6), g.spacing)
+    keep = np.any(s.offsets != 0, axis=1)
+    s0 = Stencil(s.offsets[keep], s.weights[keep], s.spacing, s.truncation_radius,
+                 False, 1)
+    mask = DomainMask(g, 0.05)   # the origin node alone
+    with pytest.raises(SolverError, match="zero in-domain kernel mass"):
+        _MaskedStepper(g, Medium.constant(1.0), s0, mask, "exponential", 0.1,
+                       nnz_cap=nnz_cap)
+
+
 @pytest.fixture(params=[(1, None), (1, (2.0, 5.0)), (2, None), (2, (1.5, 2.6))],
                 ids=["1d", "1d-split", "2d", "2d-split"])
 def sweep_case(request):
@@ -291,6 +323,16 @@ class TestMaskedSweep:
             want = getattr(csr, name)(x)
             got = getattr(sweep, name)(x)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    @pytest.mark.parametrize("nnz_cap", [20_000_000, 0], ids=["csr", "sweep"])
+    def test_rate_matches_exchange_matrix(self, sweep_case, nnz_cap):
+        g, s, m, mask, u0 = sweep_case
+        stepper = _MaskedStepper(g, m, s, mask, "exponential", 0.7, nnz_cap=nnz_cap)
+        W = masked_exchange_matrix(s, mask)
+        x = stepper.restrict(u0)
+        want = (W @ x - np.asarray(W.sum(axis=1)).ravel() * x) / stepper.rho
+        got = stepper.rate(x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("scheme", ["euler", "exponential"])
     def test_mass_conserved_over_many_steps(self, sweep_case, scheme):
