@@ -82,30 +82,21 @@ def _cmd_verify(args):
 
 def _verify_lyapunov_refinement(args):
     """Residual-vs-refinement table for the decay identities of a scenario."""
-    from dataclasses import replace
-    from .diagnostics import lyapunov_identity_check
-    from .grids import DomainMask
-    from .scenario import build_initial, build_medium, build_grid, build_stencil
-    from .solver import run as run_solver
+    from .scenario import build_initial, build_stencil, validate_scenario
+    from .verify import lyapunov_refinement
 
     sc = _load_scenario(args.scenario)
-    grid = build_grid(sc.grid)
-    medium = build_medium(sc.medium, grid.dim)
+    grid, _, medium = validate_scenario(sc)
     stencil = build_stencil(sc.kernel, grid)
     u0 = build_initial(sc.initial, grid)
-    mask = (DomainMask(grid, sc.solver.mask_radius)
-            if sc.solver.boundary == "mask" else None)
     out_dir = args.out or sc.outputs.directory
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "lyapunov_refinement.csv")
     rows = ["level,dt,delta,resid_decay,resid_energy"]
     ok = True
     prev = None
-    for level in range(3):
-        cfg = replace(sc.solver, dt=sc.solver.dt / 2 ** level)
-        traj = run_solver(u0, medium, stencil, cfg, sc.probes)
-        rep = lyapunov_identity_check(traj, medium, stencil,
-                                      sc.solver.boundary, mask)
+    for level, (cfg, _, rep) in enumerate(
+            lyapunov_refinement(u0, medium, stencil, sc.solver, sc.probes)):
         delta = cfg.dt * cfg.snapshot_every
         rows.append(f"{level},{cfg.dt!r},{delta!r},"
                     f"{rep.max_resid_decay!r},{rep.max_resid_energy!r}")

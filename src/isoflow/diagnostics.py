@@ -37,29 +37,34 @@ def quad_weights(grid, mask=None):
     return mask.indicator()
 
 
+def _rho_weights(grid, medium, mask=None):
+    """Weights of every rho-weighted quadrature: quad_weights times rho.
+
+    h^N stays outside each sum. The quadrature weights are powers of two, so
+    (w rho) u equals w rho u bit for bit.
+    """
+    return quad_weights(grid, mask) * medium.sample(grid)
+
+
+def _rho_integral(weights, grid, values):
+    """h^N sum of weights * values: the quadrature of rho * values."""
+    return float(grid.spacing ** grid.dim * np.sum(weights * values))
+
+
 def mass(u, medium, mask=None):
     """Weighted heat content: quadrature of rho * u."""
-    grid = u.grid
-    w = quad_weights(grid, mask)
-    h = grid.spacing
-    return float(h ** grid.dim * np.sum(w * medium.sample(grid) * u.values))
+    return _rho_integral(_rho_weights(u.grid, medium, mask), u.grid, u.values)
 
 
 def weighted_energy(u, medium, mask=None):
     """Quadrature of rho * u^2."""
-    grid = u.grid
-    w = quad_weights(grid, mask)
-    h = grid.spacing
-    return float(h ** grid.dim * np.sum(w * medium.sample(grid) * u.values ** 2))
+    return _rho_integral(_rho_weights(u.grid, medium, mask), u.grid, u.values ** 2)
 
 
 def dist_l1_weighted(u, medium, target, mask=None):
     """L1(rho) distance of u to the constant ``target``."""
-    grid = u.grid
-    w = quad_weights(grid, mask)
-    h = grid.spacing
-    return float(h ** grid.dim
-                 * np.sum(w * medium.sample(grid) * np.abs(u.values - target)))
+    return _rho_integral(_rho_weights(u.grid, medium, mask), u.grid,
+                         np.abs(u.values - target))
 
 
 def lyapunov_F(u, stencil, boundary="zero-extend", mask=None):
@@ -90,33 +95,28 @@ def lyapunov_F(u, stencil, boundary="zero-extend", mask=None):
     return float(grid.spacing ** grid.dim * total)
 
 
-def compute_record(t, u, medium, stencil, *, boundary="zero-extend", mask=None,
+def compute_record(t, u, weights, stencil, *, boundary="zero-extend", mask=None,
                    target=0.0, lp_p=2.0, lp_radius=None, u_t=None):
     """Assemble the scalar diagnostics for one snapshot.
 
-    ``u_t`` (a raw array) feeds the dissipation column; the run loop passes
-    the operator-based rate, while post-hoc identity checks difference the
-    snapshots instead.
+    ``weights`` are the run's rho-weighted quadrature weights
+    (``_rho_weights``), so a record samples no medium. ``u_t`` (a raw array)
+    feeds the dissipation column; the run loop passes the operator-based
+    rate, while post-hoc identity checks difference the snapshots instead.
     """
     grid = u.grid
-    w = quad_weights(grid, mask)
-    h = grid.spacing
-    rho = medium.sample(grid)
-    if u_t is None:
-        diss = 0.0
-    else:
-        diss = float(4.0 * h ** grid.dim * np.sum(w * rho * u_t ** 2))
+    diss = 0.0 if u_t is None else 4.0 * _rho_integral(weights, grid, u_t ** 2)
     if lp_radius is None:
         lp_radius = min(5.0, grid.half_extent)
     return DiagnosticsRecord(
         t=float(t),
-        mass=mass(u, medium, mask),
+        mass=_rho_integral(weights, grid, u.values),
         lyapunov_F=lyapunov_F(u, stencil, boundary, mask),
         dissipation=diss,
-        weighted_energy=weighted_energy(u, medium, mask),
+        weighted_energy=_rho_integral(weights, grid, u.values ** 2),
         sup_u=u.max(),
         inf_u=u.min(),
-        dist_L1rho=dist_l1_weighted(u, medium, target, mask),
+        dist_L1rho=_rho_integral(weights, grid, np.abs(u.values - target)),
         lp_local_p=float(lp_p),
         lp_local_val=lp_local_distance(u, target, lp_p, lp_radius),
         u_at_origin=u.at_origin(),
@@ -153,20 +153,18 @@ def lyapunov_identity_check(traj, medium, stencil, boundary="zero-extend", mask=
         raise GridError("identity check needs uniform snapshot spacing")
     delta = float(deltas[0])
     grid = snaps[0][1].grid
-    w = quad_weights(grid, mask)
-    hN = grid.spacing ** grid.dim
-    rho = medium.sample(grid)
+    weights = _rho_weights(grid, medium, mask)
 
     F = np.array([lyapunov_F(u, stencil, boundary, mask) for _, u in snaps])
-    E2 = np.array([hN * np.sum(w * rho * u.values ** 2) for _, u in snaps])
+    E2 = np.array([_rho_integral(weights, grid, u.values ** 2) for _, u in snaps])
 
     # rounding floors: once the state is constant to roundoff both sides of an
     # identity are pure noise and the residual is vacuous. F-type quantities
     # see roundoff at second order in the state (differences are squared),
     # the weighted energy at first order.
     u_scale = max(float(np.max(np.abs(u.values))) for _, u in snaps)
-    vol = hN * float(np.sum(w))
-    rho_max = float(np.max(rho))
+    vol = grid.spacing ** grid.dim * float(np.sum(quad_weights(grid, mask)))
+    rho_max = float(np.max(medium.sample(grid)))
     noise_d = 1e6 * vol * (1e-15 * u_scale) ** 2 * (1.0 + rho_max) / delta ** 2
     noise_e = 1e3 * vol * rho_max * u_scale ** 2 * 1e-16 / delta
 
@@ -175,7 +173,7 @@ def lyapunov_identity_check(traj, medium, stencil, boundary="zero-extend", mask=
         u_prev = snaps[k - 1][1].values
         u_next = snaps[k + 1][1].values
         u_t = (u_next - u_prev) / (2.0 * delta)
-        diss = 4.0 * hN * np.sum(w * rho * u_t ** 2)
+        diss = 4.0 * _rho_integral(weights, grid, u_t ** 2)
         dFdt = (F[k + 1] - F[k - 1]) / (2.0 * delta)
         dEdt = (E2[k + 1] - E2[k - 1]) / (2.0 * delta)
         scale_d = max(abs(dFdt), abs(diss))
@@ -199,15 +197,13 @@ def dissipation_budget(traj, medium, mask=None, start=0):
         return 0.0
     times = np.array([t for t, _ in snaps])
     grid = snaps[0][1].grid
-    w = quad_weights(grid, mask)
-    hN = grid.spacing ** grid.dim
-    rho = medium.sample(grid)
+    weights = _rho_weights(grid, medium, mask)
 
     def rate_sq(k):
         lo = max(start, k - 1)
         hi = min(len(snaps) - 1, k + 1)
         u_t = (snaps[hi][1].values - snaps[lo][1].values) / (times[hi] - times[lo])
-        return hN * np.sum(w * rho * u_t ** 2)
+        return _rho_integral(weights, grid, u_t ** 2)
 
     ks = range(start, len(snaps))
     vals = np.array([rate_sq(k) for k in ks])

@@ -1,5 +1,6 @@
 """Uniform tensor grids, scalar fields, quadrature, and the convolution engine."""
 
+import math
 import struct
 
 import numpy as np
@@ -22,8 +23,8 @@ class Grid:
     def __init__(self, dim, half_extent, points_per_axis):
         if dim not in (1, 2):
             raise GridError(f"dim must be 1 or 2, got {dim}")
-        if half_extent <= 0:
-            raise GridError("half_extent must be positive")
+        if not 0 < half_extent < math.inf:
+            raise GridError(f"half_extent must be positive and finite, got {half_extent!r}")
         points_per_axis = int(points_per_axis)
         if points_per_axis < 3 or points_per_axis % 2 == 0:
             raise GridError("points_per_axis must be odd and at least 3")

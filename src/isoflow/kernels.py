@@ -10,6 +10,9 @@ _SUPPORTED_DIMS = (1, 2)
 # Surface area of the unit sphere in R^N for N = 1, 2.
 _OMEGA = {1: 2.0, 2: 2.0 * math.pi}
 
+# The one length parameter of each closed-form family.
+_SCALE_PARAM = {"gaussian": "sigma", "laplace": "scale", "uniform-ball": "radius"}
+
 
 class KernelError(ValueError):
     """Invalid kernel parameters or failed kernel validation."""
@@ -34,15 +37,11 @@ class Kernel:
         self.family = family
         self.dim = int(dim)
         self.params = dict(params)
-        if family == "gaussian":
-            if params["sigma"] <= 0:
-                raise KernelError("gaussian kernel needs sigma > 0")
-        elif family == "laplace":
-            if params["scale"] <= 0:
-                raise KernelError("laplace kernel needs scale > 0")
-        elif family == "uniform-ball":
-            if params["radius"] <= 0:
-                raise KernelError("uniform-ball kernel needs radius > 0")
+        if family in _SCALE_PARAM:
+            key = _SCALE_PARAM[family]
+            # written so that NaN fails too
+            if not 0 < params[key] < math.inf:
+                raise KernelError(f"{family} kernel needs a finite {key} > 0")
         elif family == "tabulated":
             self._init_tabulated(params)
         else:
@@ -85,19 +84,6 @@ class Kernel:
         if abs(mass - 1.0) > tol:
             raise KernelError(
                 f"tabulated kernel mass {mass:.8g} deviates from 1 by more than {tol:g}")
-
-    def _tab_moment(self, power):
-        """Exact integral of r^power * J(r) over the piecewise-linear table."""
-        r, v = self._tab_r, self._tab_v
-        total = 0.0
-        for r0, r1, v0, v1 in zip(r[:-1], r[1:], v[:-1], v[1:]):
-            # J = a + b*r on the segment
-            b = (v1 - v0) / (r1 - r0)
-            a = v0 - b * r0
-            m = power
-            total += a * (r1 ** (m + 1) - r0 ** (m + 1)) / (m + 1)
-            total += b * (r1 ** (m + 2) - r0 ** (m + 2)) / (m + 2)
-        return total
 
     # -- evaluation --------------------------------------------------------
 
@@ -185,17 +171,20 @@ class Kernel:
                 return 0.0
             frac = R / Rb if self.dim == 1 else (R / Rb) ** 2
             return 1.0 - frac
-        inside = self._tab_moment_upto(self.dim - 1, R) * _OMEGA[self.dim]
+        inside = self._tab_moment(self.dim - 1, R) * _OMEGA[self.dim]
         mass = self._tab_moment(self.dim - 1) * _OMEGA[self.dim]
         return max(0.0, mass - inside)
 
-    def _tab_moment_upto(self, power, R):
+    def _tab_moment(self, power, R=math.inf):
+        """Exact integral of r^power * J(r) over the piecewise-linear table,
+        up to radius ``R``."""
         r, v = self._tab_r, self._tab_v
         total = 0.0
         for r0, r1, v0, v1 in zip(r[:-1], r[1:], v[:-1], v[1:]):
             if r0 >= R:
                 break
             hi = min(r1, R)
+            # J = a + b*r on the segment
             b = (v1 - v0) / (r1 - r0)
             a = v0 - b * r0
             m = power

@@ -38,6 +38,9 @@ class Medium:
         self.alpha = alpha
         self.tail = tail
         self._total_mass = total_mass
+        for key, value in self.params.items():
+            if not math.isfinite(value):
+                raise MediumError(f"medium parameter {key} must be finite, got {value!r}")
         for key in ("amplitude", "value", "sigma", "scale"):
             if key in self.params and self.params[key] <= 0:
                 raise MediumError(f"medium parameter {key} must be positive")
@@ -137,8 +140,8 @@ class Medium:
 
 def floor(medium, alpha):
     """The medium x -> max(rho(x), alpha), used to lift degenerate tails."""
-    if alpha <= 0:
-        raise MediumError("floor level alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise MediumError(f"floor level alpha must be positive and finite, got {alpha!r}")
     if medium.family == "floored":
         medium = medium.base
     return Medium("floored", medium.dim, base=medium, alpha=float(alpha))

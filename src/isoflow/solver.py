@@ -283,7 +283,7 @@ class Probes:
     dist_target: str = "auto"   # auto | e_rho | zero
 
 
-def _resolve_target(medium, u0, boundary, mask, probes):
+def _resolve_target(medium, u0, weights, boundary, probes):
     """Constant the distance columns compare against: the rho-weighted mean of
     the initial data when the medium is integrable (grid-local in mask mode),
     zero otherwise."""
@@ -294,14 +294,26 @@ def _resolve_target(medium, u0, boundary, mask, probes):
         raise SolverError("E_rho undefined: the medium is not integrable")
     if boundary == "mask":
         # the conserved ratio of the masked dynamics
-        w = mask.indicator()
-        rho = medium.sample(u0.grid)
-        denom = float(np.sum(w * rho))
-        return float(np.sum(w * rho * u0.values) / denom)
+        return float(np.sum(weights * u0.values) / float(np.sum(weights)))
     if cls.integrable is True:
         from .media import weighted_mean
         return weighted_mean(medium, u0)[0]
     return 0.0
+
+
+def _recorder(traj, u0, medium, stencil, boundary, mask, probes):
+    """Callback ``record(t, u, u_t=None)`` that appends the snapshot and its
+    diagnostics to ``traj``. The rho weights and the distance target are
+    computed once, here, so records sample no medium."""
+    weights = diagnostics._rho_weights(u0.grid, medium, mask)
+    target = _resolve_target(medium, u0, weights, boundary, probes)
+
+    def record(t, u, u_t=None):
+        traj.snapshots.append((t, u))
+        traj.diagnostics.append(diagnostics.compute_record(
+            t, u, weights, stencil, boundary=boundary, mask=mask, target=target,
+            lp_p=probes.lp_p, lp_radius=probes.lp_radius, u_t=u_t))
+    return record
 
 
 def run(u0, medium, stencil, config, probes=None):
@@ -333,29 +345,21 @@ def run(u0, medium, stencil, config, probes=None):
     if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
         n_steps = int(config.t_end // config.dt)
         remainder = config.t_end - n_steps * config.dt
-    target = _resolve_target(medium_eff, u0, config.boundary, mask, probes)
 
     traj = Trajectory()
-
-    def record(t, state):
-        u = Field(grid, stepper.scatter(state), copy=True)
-        u_t = stepper.scatter(stepper.rate(state))
-        rec = diagnostics.compute_record(
-            t, u, medium_eff, stencil, boundary=config.boundary, mask=mask,
-            target=target, lp_p=probes.lp_p, lp_radius=probes.lp_radius, u_t=u_t)
-        traj.snapshots.append((t, u))
-        traj.diagnostics.append(rec)
-
-    record(0.0, state)
+    record = _recorder(traj, u0, medium_eff, stencil, config.boundary, mask, probes)
     last = n_steps + (remainder > 0)
-    for k in range(1, last + 1):
+    for k in range(last + 1):
         if k > n_steps:
             stepper = make_stepper(remainder)
-        state = stepper.step(state)
-        if not np.all(np.isfinite(state)):
-            raise NumericalAbort(k)
+        if k > 0:
+            state = stepper.step(state)
+            if not np.all(np.isfinite(state)):
+                raise NumericalAbort(k)
         if k % config.snapshot_every == 0 or k == last:
-            record(config.t_end if k > n_steps else k * config.dt, state)
+            record(config.t_end if k > n_steps else k * config.dt,
+                   Field(grid, stepper.scatter(state), copy=True),
+                   stepper.scatter(stepper.rate(state)))
     traj.validate()
     return traj
 
@@ -468,18 +472,11 @@ def _picard_run(u0, medium, stencil, config, probes):
     rho_min = float(np.min(medium.sample(u0.grid)))
     if rho_min <= 0:
         raise SolverError("picard-oracle needs floor_alpha for a degenerate medium")
-    target = _resolve_target(medium, u0, "zero-extend", None, probes)
     traj = Trajectory()
-
-    def rec(t, u):
-        traj.snapshots.append((t, u))
-        traj.diagnostics.append(diagnostics.compute_record(
-            t, u, medium, stencil, boundary="zero-extend", mask=None,
-            target=target, lp_p=probes.lp_p, lp_radius=probes.lp_radius))
-
-    rec(0.0, u0.copy())
+    record = _recorder(traj, u0, medium, stencil, "zero-extend", None, probes)
+    record(0.0, u0.copy())
     _, report = picard_solve(u0, medium, stencil, config.t_end,
-                             tol=config.picard_tol, dt=config.dt, collect=rec)
+                             tol=config.picard_tol, dt=config.dt, collect=record)
     traj.picard_report = report
     traj.validate()
     return traj

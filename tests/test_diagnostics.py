@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from isoflow import (DomainMask, Field, Grid, Kernel, Medium, SolverConfig,
+from isoflow import (DomainMask, Field, Grid, Kernel, Medium, Probes, SolverConfig,
                      discretize, dissipation_budget, floor, lyapunov_F,
-                     lyapunov_identity_check, mass, run)
+                     lyapunov_identity_check, mass, run, weighted_energy)
+from isoflow.diagnostics import dist_l1_weighted
 from isoflow.grids import GridError, _slice_pair
 
 
@@ -254,3 +255,21 @@ class TestRecordInvariants:
             assert rec.dissipation >= 0.0
             assert rec.inf_u <= rec.u_at_origin <= rec.sup_u
 
+
+    @pytest.mark.parametrize("boundary", ["zero-extend", "mask"])
+    @pytest.mark.parametrize("floor_alpha", [None, 0.5])
+    def test_record_quadratures_match_the_public_ones(self, boundary, floor_alpha):
+        g = Grid(1, 10.0, 101)
+        s = discretize(Kernel.gaussian(1.0), g.spacing)
+        m = Medium.power_decay(1.0, 2.0)
+        u0 = Field.from_function(g, lambda x: np.exp(-0.5 * x * x) + 0.05 * x)
+        cfg = SolverConfig(scheme="exponential", dt=0.2, t_end=2.0, boundary=boundary,
+                           mask_radius=8.0, snapshot_every=5, floor_alpha=floor_alpha)
+        traj = run(u0, m, s, cfg, Probes(dist_target="zero"))
+        stepped = m if floor_alpha is None else floor(m, floor_alpha)
+        mask = DomainMask(g, 8.0) if boundary == "mask" else None
+        assert len(traj.diagnostics) == 3
+        for (_, u), rec in zip(traj.snapshots, traj.diagnostics):
+            assert rec.mass == mass(u, stepped, mask)
+            assert rec.weighted_energy == weighted_energy(u, stepped, mask)
+            assert rec.dist_L1rho == dist_l1_weighted(u, stepped, 0.0, mask)

@@ -43,6 +43,11 @@ class TestGrid:
         with pytest.raises(GridError):
             Grid(3, 1.0, 21)
 
+    @pytest.mark.parametrize("half_extent", [math.nan, math.inf])
+    def test_rejects_non_finite_half_extent(self, half_extent):
+        with pytest.raises(GridError, match="finite"):
+            Grid(1, half_extent, 41)
+
     def test_axis_negation_symmetric(self):
         ax = Grid(1, 7.0, 141).axis()
         assert np.array_equal(ax, -ax[::-1])

@@ -55,6 +55,12 @@ class TestEval:
         with pytest.raises(KernelError):
             Kernel.laplace(0.0)
 
+    @pytest.mark.parametrize("make", [Kernel.gaussian, Kernel.laplace, Kernel.uniform_ball])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_rejected(self, make, value):
+        with pytest.raises(KernelError, match="finite"):
+            make(value)
+
 
 class TestMoments:
     @pytest.mark.parametrize("kernel,second", [

@@ -26,6 +26,15 @@ class TestEval:
         with pytest.raises(MediumError):
             Medium.power_decay(0.0, 2.0)
 
+    @pytest.mark.parametrize("make", [lambda v: Medium.power_decay(1.0, v),
+                                      lambda v: Medium.power_decay(v, 2.0),
+                                      Medium.constant,
+                                      lambda v: floor(Medium.constant(1.0), v)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_parameter_rejected(self, make, value):
+        with pytest.raises(MediumError, match="finite"):
+            make(value)
+
     def test_custom_positive_enforced(self):
         m = Medium.custom(lambda x: x, tail="nonintegrable")
         with pytest.raises(MediumError):

@@ -386,3 +386,63 @@ def test_good_initial_table_runs(tmp_path):
     cfg.write_text(GOOD_CFG.replace("family = gaussian-bump\nheight = 1.0\nwidth = 1.0",
                                     "family = table\nradii = 0,1,5\nvalues = 2,1,0"))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("old, new, section", [
+    ("sigma = 1.0", "sigma = nan", "kernel"),
+    ("sigma = 1.0", "sigma = inf", "kernel"),
+    ("exponent = 2.0", "exponent = nan", "medium"),
+    ("amplitude = 1.0", "amplitude = inf", "medium"),
+    ("half_extent = 10.0", "half_extent = nan", "grid"),
+    ("half_extent = 10.0", "half_extent = inf", "grid"),
+], ids=["sigma-nan", "sigma-inf", "exponent-nan", "amplitude-inf",
+        "half_extent-nan", "half_extent-inf"])
+def test_non_finite_parameter_names_its_section(tmp_path, capsys, old, new, section):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(GOOD_CFG.replace(old, new))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"field {section}" in capsys.readouterr().err
+
+
+# the set-up of the `lyapunov` verify suite, written as a scenario file
+FLOORED_LYAPUNOV_CFG = """
+[kernel]
+family = gaussian
+sigma = 1.0
+
+[medium]
+family = power-decay
+amplitude = 1.0
+exponent = 2.0
+
+[grid]
+dim = 1
+half_extent = 20.0
+points_per_axis = 201
+
+[initial]
+family = gaussian-bump
+height = 1.0
+width = 1.0
+
+[solver]
+scheme = exponential
+dt = 0.1
+t_end = 24.0
+boundary = mask
+mask_radius = 20.0
+snapshot_every = 10
+floor_alpha = 0.5
+"""
+
+
+def test_verify_lyapunov_checks_against_the_floored_medium(tmp_path, capsys):
+    # checked against the unfloored medium, the residuals stall near 0.53
+    cfg = tmp_path / "floored.cfg"
+    cfg.write_text(FLOORED_LYAPUNOV_CFG)
+    assert main(["verify", "lyapunov", str(cfg), "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "lyapunov_refinement.csv").read_text().splitlines()[1:]
+    worst = [max(float(v) for v in row.split(",")[3:]) for row in rows]
+    assert len(worst) == 3
+    for coarse, fine in zip(worst, worst[1:]):
+        assert fine <= 0.6 * coarse

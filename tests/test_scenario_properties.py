@@ -13,7 +13,7 @@ from isoflow.scenario import (_FAMILIES, GridSpec, InitialSpec, KernelSpec,
                               _sections, build_medium, emit_scenario,
                               parse_scenario_text, validate_scenario, with_param)
 
-SETTINGS = settings(max_examples=40, deadline=None,
+SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
 
 

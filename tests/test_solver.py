@@ -130,6 +130,27 @@ class TestStepExponential:
 
 
 class TestRun:
+    @pytest.mark.parametrize("boundary", ["zero-extend", "mask"])
+    def test_medium_sampled_independently_of_the_record_count(self, setup_1d, boundary):
+        g, s, _ = setup_1d
+        calls = []
+
+        def rho(x):
+            calls.append(x.size)
+            return 1.0 / (1.0 + x * x)
+
+        m = Medium.custom(rho, tail="integrable", total_mass=math.pi)
+        u0 = Field.from_function(g, lambda x: np.exp(-x * x))
+        counts = {}
+        for every in (19, 1):
+            calls.clear()
+            cfg = SolverConfig(scheme="exponential", dt=0.1, t_end=1.9, boundary=boundary,
+                               mask_radius=10.0, snapshot_every=every)
+            n_records = len(run(u0, m, s, cfg).diagnostics)
+            counts[n_records] = len(calls)
+        assert set(counts) == {2, 20}
+        assert counts[2] == counts[20]
+
     def test_constant_diagnostics_flat(self, setup_1d):
         g, s, m = setup_1d
         u0 = Field.constant(g, 1.0)
