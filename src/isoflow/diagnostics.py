@@ -5,8 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import (GridError, _check_mask, _fft_convolve, _fft_plan, box_quad_weights,
-                    lp_local_distance)
+from .grids import GridError, _Operator, box_quad_weights, lp_local_distance
 
 
 @dataclass
@@ -15,7 +14,6 @@ class DiagnosticsRecord:
     t: float
     mass: float
     lyapunov_F: float
-    dissipation: float
     weighted_energy: float
     sup_u: float
     inf_u: float
@@ -37,13 +35,13 @@ def quad_weights(grid, mask=None):
     return mask.indicator()
 
 
-def _rho_weights(grid, medium, mask=None):
+def _rho_weights(grid, rho, mask=None):
     """Weights of every rho-weighted quadrature: quad_weights times rho.
 
     h^N stays outside each sum. The quadrature weights are powers of two, so
     (w rho) u equals w rho u bit for bit.
     """
-    return quad_weights(grid, mask) * medium.sample(grid)
+    return quad_weights(grid, mask) * rho
 
 
 def _rho_integral(weights, grid, values):
@@ -53,17 +51,18 @@ def _rho_integral(weights, grid, values):
 
 def mass(u, medium, mask=None):
     """Weighted heat content: quadrature of rho * u."""
-    return _rho_integral(_rho_weights(u.grid, medium, mask), u.grid, u.values)
+    return _rho_integral(_rho_weights(u.grid, medium.sample(u.grid), mask), u.grid, u.values)
 
 
 def weighted_energy(u, medium, mask=None):
     """Quadrature of rho * u^2."""
-    return _rho_integral(_rho_weights(u.grid, medium, mask), u.grid, u.values ** 2)
+    return _rho_integral(_rho_weights(u.grid, medium.sample(u.grid), mask), u.grid,
+                         u.values ** 2)
 
 
 def dist_l1_weighted(u, medium, target, mask=None):
     """L1(rho) distance of u to the constant ``target``."""
-    return _rho_integral(_rho_weights(u.grid, medium, mask), u.grid,
+    return _rho_integral(_rho_weights(u.grid, medium.sample(u.grid), mask), u.grid,
                          np.abs(u.values - target))
 
 
@@ -76,43 +75,37 @@ def lyapunov_F(u, stencil, boundary="zero-extend", mask=None):
     chi, this is 2 h^N (<chi v^2, kappa> - <chi v, J*(chi v)>) plus, under
     zero-extend only, the out-of-grid kernel mass term h^N <u^2, sum w - J*1>.
     Nonnegative and quadratic under scaling; in mask mode translation
-    invariant in u to rounding.
+    invariant in u to rounding. Builds the operator for this one call; a
+    run's records reuse the run's operator, so each costs one convolution.
     """
-    grid = u.grid
-    if boundary == "mask":
-        _check_mask(mask, grid)
-        chi = mask.indicator()
-    elif boundary == "zero-extend":
-        chi = np.ones(grid.shape)
-    else:
-        raise GridError(f"unknown boundary mode {boundary!r}")
-    plan = _fft_plan(grid.shape, stencil)
-    kappa = chi * _fft_convolve(chi, plan)
+    return _pair_energy(u, _Operator(u.grid, stencil, boundary, mask))
+
+
+def _pair_energy(u, op):
+    """lyapunov_F on the operator ``op``: one convolution, of chi v."""
+    grid, chi, kappa = u.grid, op.chi, op.kappa
     v = chi * (u.values - np.mean(u.values[chi > 0]))
-    total = 2.0 * (np.sum(v * v * kappa) - np.sum(v * _fft_convolve(v, plan)))
-    if boundary == "zero-extend":
-        total += np.sum(u.values ** 2 * (stencil.weight_sum() - kappa))
+    total = 2.0 * (np.sum(v * v * kappa) - np.sum(v * op.convolve(v)))
+    if op.mask is None:
+        total += np.sum(u.values ** 2 * (op.stencil.weight_sum() - kappa))
     return float(grid.spacing ** grid.dim * total)
 
 
-def compute_record(t, u, weights, stencil, *, boundary="zero-extend", mask=None,
-                   target=0.0, lp_p=2.0, lp_radius=None, u_t=None):
+def compute_record(t, u, weights, op, *, target=0.0, lp_p=2.0, lp_radius=None):
     """Assemble the scalar diagnostics for one snapshot.
 
     ``weights`` are the run's rho-weighted quadrature weights
-    (``_rho_weights``), so a record samples no medium. ``u_t`` (a raw array)
-    feeds the dissipation column; the run loop passes the operator-based
-    rate, while post-hoc identity checks difference the snapshots instead.
+    (``_rho_weights``) and ``op`` the run's operator (``grids._Operator``),
+    so a record samples no medium, builds no FFT plan and evaluates F with
+    one convolution.
     """
     grid = u.grid
-    diss = 0.0 if u_t is None else 4.0 * _rho_integral(weights, grid, u_t ** 2)
     if lp_radius is None:
         lp_radius = min(5.0, grid.half_extent)
     return DiagnosticsRecord(
         t=float(t),
         mass=_rho_integral(weights, grid, u.values),
-        lyapunov_F=lyapunov_F(u, stencil, boundary, mask),
-        dissipation=diss,
+        lyapunov_F=_pair_energy(u, op),
         weighted_energy=_rho_integral(weights, grid, u.values ** 2),
         sup_u=u.max(),
         inf_u=u.min(),
@@ -153,9 +146,11 @@ def lyapunov_identity_check(traj, medium, stencil, boundary="zero-extend", mask=
         raise GridError("identity check needs uniform snapshot spacing")
     delta = float(deltas[0])
     grid = snaps[0][1].grid
-    weights = _rho_weights(grid, medium, mask)
+    rho = medium.sample(grid)
+    weights = _rho_weights(grid, rho, mask)
+    op = _Operator(grid, stencil, boundary, mask)
 
-    F = np.array([lyapunov_F(u, stencil, boundary, mask) for _, u in snaps])
+    F = np.array([_pair_energy(u, op) for _, u in snaps])
     E2 = np.array([_rho_integral(weights, grid, u.values ** 2) for _, u in snaps])
 
     # rounding floors: once the state is constant to roundoff both sides of an
@@ -164,7 +159,7 @@ def lyapunov_identity_check(traj, medium, stencil, boundary="zero-extend", mask=
     # the weighted energy at first order.
     u_scale = max(float(np.max(np.abs(u.values))) for _, u in snaps)
     vol = grid.spacing ** grid.dim * float(np.sum(quad_weights(grid, mask)))
-    rho_max = float(np.max(medium.sample(grid)))
+    rho_max = float(np.max(rho))
     noise_d = 1e6 * vol * (1e-15 * u_scale) ** 2 * (1.0 + rho_max) / delta ** 2
     noise_e = 1e3 * vol * rho_max * u_scale ** 2 * 1e-16 / delta
 
@@ -197,7 +192,7 @@ def dissipation_budget(traj, medium, mask=None, start=0):
         return 0.0
     times = np.array([t for t, _ in snaps])
     grid = snaps[0][1].grid
-    weights = _rho_weights(grid, medium, mask)
+    weights = _rho_weights(grid, medium.sample(grid), mask)
 
     def rate_sq(k):
         lo = max(start, k - 1)

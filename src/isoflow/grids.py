@@ -2,6 +2,7 @@
 
 import math
 import struct
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -25,6 +26,8 @@ class Grid:
             raise GridError(f"dim must be 1 or 2, got {dim}")
         if not 0 < half_extent < math.inf:
             raise GridError(f"half_extent must be positive and finite, got {half_extent!r}")
+        if not float(points_per_axis).is_integer():
+            raise GridError(f"points_per_axis must be an integer, got {points_per_axis!r}")
         points_per_axis = int(points_per_axis)
         if points_per_axis < 3 or points_per_axis % 2 == 0:
             raise GridError("points_per_axis must be odd and at least 3")
@@ -227,14 +230,33 @@ def _fft_plan(shape, stencil):
     return pad_shape, sp_fft.rfftn(karr)
 
 
-def _fft_convolve(values, plan):
-    """Zero-extend sum w_k values(x - k) on the grid of ``values``, through
-    the zero-padded real FFTs of ``plan`` (from _fft_plan)."""
-    pad_shape, khat = plan
-    region = tuple(slice(0, n) for n in values.shape)
-    fpad = np.zeros(pad_shape)
-    fpad[region] = values
-    return sp_fft.irfftn(sp_fft.rfftn(fpad) * khat, s=pad_shape)[region]
+class _Operator:
+    """The runtime J* of one run, built once and shared by its stepper and
+    every record: the FFT plan, the domain indicator chi (all ones under
+    zero-extend) and the in-domain kernel mass kappa = chi J*chi."""
+
+    def __init__(self, grid, stencil, boundary, mask):
+        if boundary == "zero-extend":
+            mask, self.chi = None, np.ones(grid.shape)
+        elif boundary == "mask":
+            _check_mask(mask, grid)
+            self.chi = mask.indicator()
+        else:
+            raise GridError(f"unknown boundary mode {boundary!r}")
+        self.grid, self.stencil, self.mask = grid, stencil, mask
+        self.plan = _fft_plan(grid.shape, stencil)
+
+    def convolve(self, values):
+        """Zero-extend sum w_k values(x - k) on the grid, by zero-padded real FFTs."""
+        pad_shape, khat = self.plan
+        region = tuple(slice(0, n) for n in values.shape)
+        fpad = np.zeros(pad_shape)
+        fpad[region] = values
+        return sp_fft.irfftn(sp_fft.rfftn(fpad) * khat, s=pad_shape)[region]
+
+    @cached_property
+    def kappa(self):
+        return self.chi * self.convolve(self.chi)
 
 
 def convolve_fft(f, stencil):
@@ -243,7 +265,7 @@ def convolve_fft(f, stencil):
     Matches convolve_direct within 1e-10 relative on the max norm.
     """
     _check_stencil_fits(f, stencil)
-    conv = _fft_convolve(f.values, _fft_plan(f.grid.shape, stencil))
+    conv = _Operator(f.grid, stencil, "zero-extend", None).convolve(f.values)
     return Field(f.grid, np.ascontiguousarray(conv), copy=False)
 
 

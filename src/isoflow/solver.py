@@ -3,14 +3,13 @@ steps, the fixed-point oracle, and monotone approximation drivers."""
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import partial
 
 import numpy as np
 from scipy import sparse
 
 from . import diagnostics
-from .grids import (DomainMask, Field, _check_mask, _check_stencil_fits, _fft_convolve,
-                    _fft_plan, _slice_pair, masked_exchange_matrix)
+from .grids import (DomainMask, Field, _check_stencil_fits, _Operator, _slice_pair,
+                    masked_exchange_matrix)
 from .kernels import stencil_second_moment
 from .media import classify, floor as floor_medium
 
@@ -96,7 +95,7 @@ def _check_euler_dt(rho, dt):
 
 
 # ---------------------------------------------------------------------------
-# steppers: one per boundary mode, shared by the run loop and the one-shot steps
+# steppers: one per boundary mode, on the run's operator and sampled rho
 
 
 def _effective_step(rho, kappa, dt):
@@ -111,15 +110,11 @@ class _ZeroExtendStepper:
     """FFT-backed fixed-dt stepper for the zero-extend boundary; its state is
     the full grid array."""
 
-    def __init__(self, grid, medium, stencil, scheme, dt):
-        self.grid = grid
-        self.scheme = scheme
-        self.dt = dt
-        self.rho = medium.sample(grid)
+    def __init__(self, op, rho, scheme, dt):
+        self.op, self.rho, self.scheme, self.dt = op, rho, scheme, dt
         if scheme == "euler":
-            _check_euler_dt(self.rho, dt)
-        self.plan = _fft_plan(grid.shape, stencil)
-        self.decay = np.exp(-dt / self.rho)
+            _check_euler_dt(rho, dt)
+        self.decay = np.exp(-dt / rho)
 
     def restrict(self, values):
         return values
@@ -128,14 +123,10 @@ class _ZeroExtendStepper:
         return vec
 
     def step(self, values):
-        conv = _fft_convolve(values, self.plan)
+        conv = self.op.convolve(values)
         if self.scheme == "euler":
             return values + self.dt * (conv - values) / self.rho
         return self.decay * values + (1.0 - self.decay) * conv
-
-    def rate(self, values):
-        """Operator-based u_t = (J*u - u)/rho for diagnostics."""
-        return (_fft_convolve(values, self.plan) - values) / self.rho
 
 
 class _MaskedStepper:
@@ -151,16 +142,14 @@ class _MaskedStepper:
     shifts of the grid.
     """
 
-    def __init__(self, grid, medium, stencil, mask, scheme, dt, nnz_cap=20_000_000):
-        self.grid = grid
-        self.scheme = scheme
-        self.dt = dt
+    def __init__(self, op, rho, scheme, dt, nnz_cap=20_000_000):
+        grid, stencil, mask = op.grid, op.stencil, op.mask
+        self.op, self.scheme, self.dt = op, scheme, dt
         self.inside = mask.inside
-        self.rho = medium.sample(grid)[self.inside]
+        self.rho = rho[self.inside]
         if scheme == "euler":
             _check_euler_dt(self.rho, dt)
-        self.plan = _fft_plan(grid.shape, stencil)
-        self.kappa = _fft_convolve(mask.indicator(), self.plan)[self.inside]
+        self.kappa = op.kappa[self.inside]
         # FFT rounding leaves about 1e-17 of the weight sum where the mass is 0
         if np.any(self.kappa <= 1e-12 * stencil.weight_sum()):
             raise SolverError("mask contains a node with zero in-domain kernel mass")
@@ -194,7 +183,7 @@ class _MaskedStepper:
         return values[self.inside]
 
     def scatter(self, vec):
-        out = np.zeros(self.grid.shape)
+        out = np.zeros(self.op.grid.shape)
         out[self.inside] = vec
         return out
 
@@ -229,24 +218,22 @@ class _MaskedStepper:
 
     def rate(self, state):
         """Generator u_t = (J*u - u)/rho over the mask nodes."""
-        conv = _fft_convolve(self.scatter(state), self.plan)[self.inside]
+        conv = self.op.convolve(self.scatter(state))[self.inside]
         return (conv - self.kappa * state) / self.rho
 
 
-def _make_stepper(grid, medium, stencil, scheme, dt, boundary, mask, nnz_cap=20_000_000):
-    if boundary == "zero-extend":
-        return _ZeroExtendStepper(grid, medium, stencil, scheme, dt)
-    if boundary == "mask":
-        _check_mask(mask, grid)
-        return _MaskedStepper(grid, medium, stencil, mask, scheme, dt, nnz_cap)
-    raise SolverError(f"unknown boundary mode {boundary!r}")
+def _stepper(op, rho, scheme, dt, nnz_cap=20_000_000):
+    if op.mask is None:
+        return _ZeroExtendStepper(op, rho, scheme, dt)
+    return _MaskedStepper(op, rho, scheme, dt, nnz_cap)
 
 
 def _one_step(u, medium, stencil, scheme, dt, boundary, mask):
     """One step of the stepper for ``boundary``; a masked step takes the
     sweep path and drops the data outside the mask."""
     _check_stencil_fits(u, stencil)
-    stepper = _make_stepper(u.grid, medium, stencil, scheme, dt, boundary, mask, nnz_cap=0)
+    op = _Operator(u.grid, stencil, boundary, mask)
+    stepper = _stepper(op, medium.sample(u.grid), scheme, dt, nnz_cap=0)
     out = stepper.scatter(stepper.step(stepper.restrict(u.values)))
     return Field(u.grid, out, copy=False)
 
@@ -283,36 +270,32 @@ class Probes:
     dist_target: str = "auto"   # auto | e_rho | zero
 
 
-def _resolve_target(medium, u0, weights, boundary, probes):
+def _resolve_target(medium, u0, weights, masked, probes):
     """Constant the distance columns compare against: the rho-weighted mean of
-    the initial data when the medium is integrable (grid-local in mask mode),
-    zero otherwise."""
+    the initial data when the medium is integrable or the run is masked (the
+    conserved ratio of the masked dynamics), zero otherwise."""
     if probes.dist_target == "zero":
         return 0.0
-    cls = classify(medium)
-    if probes.dist_target == "e_rho" and cls.integrable is not True:
+    integrable = classify(medium).integrable is True
+    if probes.dist_target == "e_rho" and not integrable:
         raise SolverError("E_rho undefined: the medium is not integrable")
-    if boundary == "mask":
-        # the conserved ratio of the masked dynamics
+    if masked or integrable:
         return float(np.sum(weights * u0.values) / float(np.sum(weights)))
-    if cls.integrable is True:
-        from .media import weighted_mean
-        return weighted_mean(medium, u0)[0]
     return 0.0
 
 
-def _recorder(traj, u0, medium, stencil, boundary, mask, probes):
-    """Callback ``record(t, u, u_t=None)`` that appends the snapshot and its
-    diagnostics to ``traj``. The rho weights and the distance target are
-    computed once, here, so records sample no medium."""
-    weights = diagnostics._rho_weights(u0.grid, medium, mask)
-    target = _resolve_target(medium, u0, weights, boundary, probes)
+def _recorder(traj, u0, medium, rho, op, probes):
+    """Callback ``record(t, u)`` that appends the snapshot and its diagnostics
+    to ``traj``. The rho weights and the distance target are computed once,
+    here, and every record reuses the run's sampled ``rho`` and operator."""
+    weights = diagnostics._rho_weights(op.grid, rho, op.mask)
+    target = _resolve_target(medium, u0, weights, op.mask is not None, probes)
 
-    def record(t, u, u_t=None):
+    def record(t, u):
         traj.snapshots.append((t, u))
         traj.diagnostics.append(diagnostics.compute_record(
-            t, u, weights, stencil, boundary=boundary, mask=mask, target=target,
-            lp_p=probes.lp_p, lp_radius=probes.lp_radius, u_t=u_t))
+            t, u, weights, op, target=target, lp_p=probes.lp_p,
+            lp_radius=probes.lp_radius))
     return record
 
 
@@ -321,6 +304,7 @@ def run(u0, medium, stencil, config, probes=None):
 
     Deterministic for identical inputs. The masked initial state is the data
     restricted to the mask. NaN production aborts with the offending step.
+    The operator and rho are built once, for every step and every record.
     """
     config.validate()
     probes = probes or Probes()
@@ -334,9 +318,9 @@ def run(u0, medium, stencil, config, probes=None):
         return _picard_run(u0, medium_eff, stencil, config, probes)
 
     mask = DomainMask(grid, config.mask_radius) if config.boundary == "mask" else None
-    make_stepper = partial(_make_stepper, grid, medium_eff, stencil, config.scheme,
-                           boundary=config.boundary, mask=mask)
-    stepper = make_stepper(config.dt)
+    op = _Operator(grid, stencil, config.boundary, mask)
+    rho = medium_eff.sample(grid)
+    stepper = _stepper(op, rho, config.scheme, config.dt)
     state = stepper.restrict(u0.values)
 
     # whole steps of dt, then one shorter step that ends at t_end exactly
@@ -347,19 +331,18 @@ def run(u0, medium, stencil, config, probes=None):
         remainder = config.t_end - n_steps * config.dt
 
     traj = Trajectory()
-    record = _recorder(traj, u0, medium_eff, stencil, config.boundary, mask, probes)
+    record = _recorder(traj, u0, medium_eff, rho, op, probes)
     last = n_steps + (remainder > 0)
     for k in range(last + 1):
         if k > n_steps:
-            stepper = make_stepper(remainder)
+            stepper = _stepper(op, rho, config.scheme, remainder)
         if k > 0:
             state = stepper.step(state)
             if not np.all(np.isfinite(state)):
                 raise NumericalAbort(k)
         if k % config.snapshot_every == 0 or k == last:
             record(config.t_end if k > n_steps else k * config.dt,
-                   Field(grid, stepper.scatter(state), copy=True),
-                   stepper.scatter(stepper.rate(state)))
+                   Field(grid, stepper.scatter(state), copy=True))
     traj.validate()
     return traj
 
@@ -414,8 +397,6 @@ def picard_solve(u0, medium, stencil, t_end, tol=1e-10, dt=1e-3, window=None,
     _check_stencil_fits(u0, stencil)
     rho = medium.sample(grid).ravel()
     rho0 = float(rho.min())
-    if rho0 <= 0:
-        raise SolverError("fixed-point oracle needs a medium bounded away from zero")
     t0 = window if window is not None else 0.4 * rho0
     if not 0 < t0 < 0.5 * rho0:
         raise SolverError(f"window {t0:g} must lie in (0, rho_min/2) = (0, {0.5 * rho0:g})")
@@ -469,11 +450,9 @@ def picard_solve(u0, medium, stencil, t_end, tol=1e-10, dt=1e-3, window=None,
 
 def _picard_run(u0, medium, stencil, config, probes):
     """Trajectory wrapper around picard_solve (snapshots at window ends)."""
-    rho_min = float(np.min(medium.sample(u0.grid)))
-    if rho_min <= 0:
-        raise SolverError("picard-oracle needs floor_alpha for a degenerate medium")
     traj = Trajectory()
-    record = _recorder(traj, u0, medium, stencil, "zero-extend", None, probes)
+    op = _Operator(u0.grid, stencil, "zero-extend", None)
+    record = _recorder(traj, u0, medium, medium.sample(u0.grid), op, probes)
     record(0.0, u0.copy())
     _, report = picard_solve(u0, medium, stencil, config.t_end,
                              tol=config.picard_tol, dt=config.dt, collect=record)

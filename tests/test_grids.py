@@ -48,6 +48,11 @@ class TestGrid:
         with pytest.raises(GridError, match="finite"):
             Grid(1, half_extent, 41)
 
+    @pytest.mark.parametrize("points", [41.7, math.nan, math.inf, -math.inf])
+    def test_rejects_non_integral_points_per_axis(self, points):
+        with pytest.raises(GridError, match="integer"):
+            Grid(1, 1.0, points)
+
     def test_axis_negation_symmetric(self):
         ax = Grid(1, 7.0, 141).axis()
         assert np.array_equal(ax, -ax[::-1])

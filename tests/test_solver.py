@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from isoflow import (DomainMask, Field, Grid, Kernel, Medium, NumericalAbort,
+from isoflow import (DomainMask, Field, Grid, Kernel, Medium, MediumError, NumericalAbort,
                      SolverConfig, SolverError, Stencil, convolve_direct, discretize,
                      floor, monotone_approx_run, picard_solve, run, stability_dt,
                      step_euler, step_exponential, trust_radius)
+from isoflow import diagnostics, grids, solver
 from isoflow.diagnostics import mass
-from isoflow.grids import masked_exchange_matrix
+from isoflow.grids import _Operator, masked_exchange_matrix
 from isoflow.solver import _MaskedStepper
 
 
@@ -142,14 +143,36 @@ class TestRun:
         m = Medium.custom(rho, tail="integrable", total_mass=math.pi)
         u0 = Field.from_function(g, lambda x: np.exp(-x * x))
         counts = {}
-        for every in (19, 1):
+        for t_end, every in ((1.9, 19), (1.9, 1), (1.95, 1)):
             calls.clear()
-            cfg = SolverConfig(scheme="exponential", dt=0.1, t_end=1.9, boundary=boundary,
+            cfg = SolverConfig(scheme="exponential", dt=0.1, t_end=t_end, boundary=boundary,
                                mask_radius=10.0, snapshot_every=every)
             n_records = len(run(u0, m, s, cfg).diagnostics)
             counts[n_records] = len(calls)
-        assert set(counts) == {2, 20}
-        assert counts[2] == counts[20]
+        assert set(counts) == {2, 20, 21}
+        assert counts[2] == counts[20] == counts[21] == 1
+
+    @pytest.mark.parametrize("boundary", ["zero-extend", "mask"])
+    @pytest.mark.parametrize("t_end, every", [(1.9, 19), (1.9, 1), (1.95, 1)],
+                             ids=["2-records", "20-records", "remainder"])
+    def test_fft_plan_built_once_per_run(self, setup_1d, monkeypatch, boundary, t_end,
+                                         every):
+        g, s, m = setup_1d
+        calls = []
+        plan = grids._fft_plan
+
+        def counting_plan(*args):
+            calls.append(args)
+            return plan(*args)
+
+        for mod in (grids, solver, diagnostics):
+            if hasattr(mod, "_fft_plan"):
+                monkeypatch.setattr(mod, "_fft_plan", counting_plan)
+        u0 = Field.from_function(g, lambda x: np.exp(-x * x))
+        cfg = SolverConfig(scheme="exponential", dt=0.1, t_end=t_end, boundary=boundary,
+                           mask_radius=10.0, snapshot_every=every)
+        run(u0, m, s, cfg)
+        assert len(calls) == 1
 
     def test_constant_diagnostics_flat(self, setup_1d):
         g, s, m = setup_1d
@@ -310,8 +333,8 @@ def test_isolated_mask_node_without_self_weight_rejected(nnz_cap):
                  False, 1)
     mask = DomainMask(g, 0.05)   # the origin node alone
     with pytest.raises(SolverError, match="zero in-domain kernel mass"):
-        _MaskedStepper(g, Medium.constant(1.0), s0, mask, "exponential", 0.1,
-                       nnz_cap=nnz_cap)
+        _MaskedStepper(_Operator(g, s0, "mask", mask), Medium.constant(1.0).sample(g),
+                       "exponential", 0.1, nnz_cap=nnz_cap)
 
 
 @pytest.fixture(params=[(1, None), (1, (2.0, 5.0)), (2, None), (2, (1.5, 2.6))],
@@ -336,8 +359,9 @@ class TestMaskedSweep:
     def test_step_and_rate_match_csr(self, sweep_case, scheme):
         g, s, m, mask, u0 = sweep_case
         dt = 0.9 * stability_dt(m, g) if scheme == "euler" else 0.7
-        csr = _MaskedStepper(g, m, s, mask, scheme, dt)
-        sweep = _MaskedStepper(g, m, s, mask, scheme, dt, nnz_cap=0)
+        op, rho = _Operator(g, s, "mask", mask), m.sample(g)
+        csr = _MaskedStepper(op, rho, scheme, dt)
+        sweep = _MaskedStepper(op, rho, scheme, dt, nnz_cap=0)
         assert csr.matrix_mode and not sweep.matrix_mode
         x = csr.restrict(u0)
         for name in ("step", "rate"):
@@ -348,7 +372,8 @@ class TestMaskedSweep:
     @pytest.mark.parametrize("nnz_cap", [20_000_000, 0], ids=["csr", "sweep"])
     def test_rate_matches_exchange_matrix(self, sweep_case, nnz_cap):
         g, s, m, mask, u0 = sweep_case
-        stepper = _MaskedStepper(g, m, s, mask, "exponential", 0.7, nnz_cap=nnz_cap)
+        stepper = _MaskedStepper(_Operator(g, s, "mask", mask), m.sample(g), "exponential",
+                                 0.7, nnz_cap=nnz_cap)
         W = masked_exchange_matrix(s, mask)
         x = stepper.restrict(u0)
         want = (W @ x - np.asarray(W.sum(axis=1)).ravel() * x) / stepper.rho
@@ -359,7 +384,8 @@ class TestMaskedSweep:
     def test_mass_conserved_over_many_steps(self, sweep_case, scheme):
         g, s, m, mask, u0 = sweep_case
         dt = 0.9 * stability_dt(m, g) if scheme == "euler" else 0.7
-        sweep = _MaskedStepper(g, m, s, mask, scheme, dt, nnz_cap=0)
+        sweep = _MaskedStepper(_Operator(g, s, "mask", mask), m.sample(g), scheme, dt,
+                               nnz_cap=0)
         x = sweep.restrict(u0)
         m0 = float(np.sum(sweep.rho * x))
         for _ in range(120):
@@ -368,7 +394,8 @@ class TestMaskedSweep:
 
     def test_positivity_and_range_at_large_dt(self, sweep_case):
         g, s, m, mask, u0 = sweep_case
-        sweep = _MaskedStepper(g, m, s, mask, "exponential", 50.0, nnz_cap=0)
+        sweep = _MaskedStepper(_Operator(g, s, "mask", mask), m.sample(g), "exponential",
+                               50.0, nnz_cap=0)
         x = sweep.restrict(u0)
         lo, hi = float(x.min()), float(x.max())
         for _ in range(20):
@@ -388,6 +415,17 @@ class TestPicard:
         m = floor(Medium.power_decay(1.0, 2.0), 0.3)
         cfg = SolverConfig(scheme="picard-oracle", dt=1e-2, t_end=0.2)
         assert run(Field.constant(g, 1.0), m, s, cfg).picard_report.windows
+
+    def test_degenerate_medium_raises_medium_error(self):
+        g = Grid(1, 5.0, 41)
+        s = discretize(Kernel.gaussian(1.0), g.spacing, trunc_tol=1e-8)
+        m = Medium.custom(lambda x: np.where(np.abs(x) < 4.0, 1.0, 0.0))
+        u0 = Field.constant(g, 1.0)
+        cfg = SolverConfig(scheme="picard-oracle", dt=1e-2, t_end=0.2)
+        with pytest.raises(MediumError, match="strictly positive"):
+            run(u0, m, s, cfg)
+        with pytest.raises(MediumError, match="strictly positive"):
+            picard_solve(u0, m, s, 0.2)
 
     def test_constant_data(self):
         g = Grid(1, 5.0, 41)
