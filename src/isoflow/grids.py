@@ -258,6 +258,14 @@ class _Operator:
     def kappa(self):
         return self.chi * self.convolve(self.chi)
 
+    @cached_property
+    def pairs(self):
+        """CSR pair weights W[x, x - k] = w_k between distinct in-domain
+        nodes, numbered by grid node (flat, row-major)."""
+        n = self.grid.n_nodes
+        index = np.where(self.chi > 0, np.arange(n).reshape(self.grid.shape), -1)
+        return _pair_matrix(self.stencil, index, n)
+
 
 def convolve_fft(f, stencil):
     """Zero-extend convolution through zero-padded real FFTs.
@@ -307,8 +315,10 @@ def ball_quad_weights(grid, radius):
 
 def lp_local_distance(f, c, p, radius):
     """Local L^p distance (integral over |x| <= radius of |f - c|^p)^(1/p)."""
-    if p < 1:
-        raise GridError("p must be at least 1")
+    if not 1 <= p < math.inf:
+        raise GridError(f"p must be finite and at least 1, got {p!r}")
+    if not 0 < radius < math.inf:
+        raise GridError(f"radius must be finite and positive, got {radius!r}")
     if radius > f.grid.half_extent * (1 + 1e-12):
         raise GridError("radius exceeds the grid half extent")
     w = ball_quad_weights(f.grid, radius)
@@ -321,11 +331,28 @@ def lp_local_distance(f, c, p, radius):
 # masked operator assembly
 
 
-def mask_index_map(mask):
-    """Flat index per grid node: 0..n-1 inside the mask, -1 outside."""
-    idx = np.full(mask.grid.shape, -1, dtype=np.int64)
-    idx[mask.inside] = np.arange(mask.n_nodes)
-    return idx
+def _pair_matrix(stencil, index, n, self_pairs=False):
+    """n x n CSR matrix with W[index[x], index[x - k]] = w_k for every stencil
+    offset k, over a numbering ``index`` of the grid nodes in which -1 means
+    "not a node". The zero offset is left out unless ``self_pairs``."""
+    rows, cols, data = [], [], []
+    for offset, w in zip(stencil.offsets, stencil.weights):
+        if not self_pairs and np.all(offset == 0):
+            continue
+        dst, src = _slice_pair(index.shape, offset)
+        a = index[dst].ravel()
+        b = index[src].ravel()
+        ok = (a >= 0) & (b >= 0)
+        if not np.any(ok):
+            continue
+        rows.append(a[ok])
+        cols.append(b[ok])
+        data.append(np.full(int(ok.sum()), w))
+    if rows:
+        rows = np.concatenate(rows)
+        cols = np.concatenate(cols)
+        data = np.concatenate(data)
+    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def masked_exchange_matrix(stencil, mask, nnz_cap=20_000_000):
@@ -341,26 +368,9 @@ def masked_exchange_matrix(stencil, mask, nnz_cap=20_000_000):
     est = n * len(stencil)
     if est > nnz_cap:
         raise GridError(f"masked operator too large to materialize ({est} > {nnz_cap})")
-    idx = mask_index_map(mask)
-    rows, cols, data = [], [], []
-    for offset, w in zip(stencil.offsets, stencil.weights):
-        if np.all(offset == 0):
-            continue
-        dst, src = _slice_pair(mask.grid.shape, offset)
-        a = idx[dst].ravel()
-        b = idx[src].ravel()
-        ok = (a >= 0) & (b >= 0)
-        if not np.any(ok):
-            continue
-        rows.append(a[ok])
-        cols.append(b[ok])
-        data.append(np.full(int(ok.sum()), w))
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.concatenate(data)
-    W = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    return W
+    index = np.full(mask.grid.shape, -1, dtype=np.int64)
+    index[mask.inside] = np.arange(n)
+    return _pair_matrix(stencil, index, n)
 
 
 # ---------------------------------------------------------------------------

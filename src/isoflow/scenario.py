@@ -237,8 +237,15 @@ def validate_scenario(sc):
     if sc.probes.dist_target == "e_rho" and classify(medium).integrable is not True:
         raise ConfigError("E_rho undefined: the medium is not integrable",
                           field="probes.dist_target")
-    if sc.probes.lp_radius is not None and sc.probes.lp_radius > grid.half_extent:
-        raise ConfigError("lp_radius exceeds the grid half extent", field="probes")
+    if not 1 <= sc.probes.lp_p < math.inf:
+        raise ConfigError(f"lp_p must be finite and at least 1, got {sc.probes.lp_p!r}",
+                          field="probes")
+    if sc.probes.lp_radius is not None:
+        if not 0 < sc.probes.lp_radius < math.inf:
+            raise ConfigError(f"lp_radius must be finite and positive, got "
+                              f"{sc.probes.lp_radius!r}", field="probes")
+        if sc.probes.lp_radius > grid.half_extent:
+            raise ConfigError("lp_radius exceeds the grid half extent", field="probes")
     return grid, kern, medium
 
 

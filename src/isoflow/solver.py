@@ -8,8 +8,7 @@ import numpy as np
 from scipy import sparse
 
 from . import diagnostics
-from .grids import (DomainMask, Field, _check_stencil_fits, _Operator, _slice_pair,
-                    masked_exchange_matrix)
+from .grids import DomainMask, Field, _check_stencil_fits, _Operator, _pair_matrix
 from .kernels import stencil_second_moment
 from .media import classify, floor as floor_medium
 
@@ -107,20 +106,13 @@ def _effective_step(rho, kappa, dt):
 
 
 class _ZeroExtendStepper:
-    """FFT-backed fixed-dt stepper for the zero-extend boundary; its state is
-    the full grid array."""
+    """FFT-backed fixed-dt stepper for the zero-extend boundary."""
 
     def __init__(self, op, rho, scheme, dt):
         self.op, self.rho, self.scheme, self.dt = op, rho, scheme, dt
         if scheme == "euler":
             _check_euler_dt(rho, dt)
         self.decay = np.exp(-dt / rho)
-
-    def restrict(self, values):
-        return values
-
-    def scatter(self, vec):
-        return vec
 
     def step(self, values):
         conv = self.op.convolve(values)
@@ -130,73 +122,67 @@ class _ZeroExtendStepper:
 
 
 class _MaskedStepper:
-    """Fixed-dt stepper for the masked (no-flux) boundary, on mask-node vectors.
+    """Fixed-dt stepper for the masked (no-flux) boundary. Its state is the
+    full grid array, zero off the mask, and every step keeps it so.
 
-    ``rate()`` is (chi J*(chi u) - kappa u)/rho with the in-domain kernel mass
+    ``rate()`` is (chi J*u - kappa u)/rho with the in-domain kernel mass
     kappa = chi J*chi, both by FFT; an Euler step is u + dt * rate(u). An
-    exponential step adds the antisymmetric pair exchange (see _exchange) at
-    the integrating-factor rate r_eff, which is no convolution. Mask nodes x
-    stencil offsets within ``nnz_cap`` store that exchange once as a CSR
-    matrix (about 12 bytes per pair; one sparse matvec a step). Above the cap
-    nothing per pair is stored and each step sweeps half the offsets as flat
-    shifts of the grid.
+    exponential step adds the antisymmetric pair exchange
+    sum_k w_k min(r(x), r(x-k)) (u(x-k) - u(x)) at the integrating-factor
+    rate r = r_eff, which is no convolution; r is zero off the mask, which
+    cuts every pair that leaves the domain. Mask nodes x stencil offsets
+    within ``nnz_cap`` store that exchange as a CSR matrix: the run
+    operator's pair matrix, numbered by grid node and built once per run,
+    weighted by min(r) (one sparse matvec a step). Above the cap nothing per
+    pair is stored and each step sweeps half the offsets as flat shifts of
+    the grid (see _exchange).
     """
 
     def __init__(self, op, rho, scheme, dt, nnz_cap=20_000_000):
-        grid, stencil, mask = op.grid, op.stencil, op.mask
-        self.op, self.scheme, self.dt = op, scheme, dt
-        self.inside = mask.inside
-        self.rho = rho[self.inside]
+        grid, stencil, inside = op.grid, op.stencil, op.mask.inside
+        self.op, self.rho, self.scheme, self.dt = op, rho, scheme, dt
         if scheme == "euler":
-            _check_euler_dt(self.rho, dt)
-        self.kappa = op.kappa[self.inside]
+            _check_euler_dt(rho[inside], dt)
         # FFT rounding leaves about 1e-17 of the weight sum where the mass is 0
-        if np.any(self.kappa <= 1e-12 * stencil.weight_sum()):
+        if np.any(op.kappa[inside] <= 1e-12 * stencil.weight_sum()):
             raise SolverError("mask contains a node with zero in-domain kernel mass")
-        self.matrix_mode = mask.n_nodes * len(stencil) <= nnz_cap
+        self.matrix_mode = op.mask.n_nodes * len(stencil) <= nnz_cap
         if scheme == "euler":
             return
-        r_eff = _effective_step(self.rho, self.kappa, dt)
+        r_eff = np.zeros(grid.shape)
+        r_eff[inside] = _effective_step(rho[inside], op.kappa[inside], dt)
         if self.matrix_mode:
-            coo = masked_exchange_matrix(stencil, mask, nnz_cap).tocoo()
-            data = coo.data * np.minimum(r_eff[coo.row], r_eff[coo.col])
-            self.C = sparse.csr_matrix((data, (coo.row, coo.col)), shape=coo.shape)
-            self.cdiag = np.asarray(self.C.sum(axis=1)).ravel()
+            P = op.pairs
+            coo = P.tocoo(copy=False)
+            r = r_eff.ravel()
+            data = coo.data * np.minimum(r[coo.row], r[coo.col])
+            # shares the index arrays of op.pairs: only the weights are per step size
+            self.C = sparse.csr_matrix((data, P.indices, P.indptr), shape=P.shape)
+            self.cdiag = np.asarray(self.C.sum(axis=1)).reshape(grid.shape)
             return
         # pad every row with halfwidths[-1] zeros: each offset is then one
         # flat shift, and a neighbour past the end of a row lands in padding
-        padded = grid.shape[:-1] + (grid.shape[-1] + int(stencil.halfwidths[-1]),)
-        shifts = stencil.offsets @ np.array([math.prod(padded[d + 1:])
+        self.padded = grid.shape[:-1] + (grid.shape[-1] + int(stencil.halfwidths[-1]),)
+        self.region = tuple(slice(0, n) for n in grid.shape)
+        shifts = stencil.offsets @ np.array([math.prod(self.padded[d + 1:])
                                              for d in range(grid.dim)])
         self.shifts, self.weights = shifts[shifts > 0], stencil.weights[shifts > 0]
-        pad_inside = np.zeros(padded, dtype=bool)
-        pad_inside[tuple(slice(0, n) for n in grid.shape)] = self.inside
-        self.flat = np.flatnonzero(pad_inside)
-        n = pad_inside.size
+        n = math.prod(self.padded)
         self.r_eff = np.zeros(n)
-        self.r_eff[self.flat] = r_eff
-        # scratch for _exchange; _u stays zero off the mask
+        self.r_eff.reshape(self.padded)[self.region] = r_eff
+        # scratch for _exchange; _u stays zero in the padding
         self._u, self._out = np.zeros(n), np.empty(n)
         self._scratch = (np.empty(n), np.empty(n))
 
-    def restrict(self, values):
-        return values[self.inside]
-
-    def scatter(self, vec):
-        out = np.zeros(self.op.grid.shape)
-        out[self.inside] = vec
-        return out
-
     def _exchange(self, state):
-        """sum_k w_k min(r(x), r(x-k)) (u(x-k) - u(x)) at the mask nodes, r = r_eff.
+        """The pair exchange of the exponential step, swept offset by offset.
 
-        r is zero off the mask and in the padding, which cuts every pair that
-        leaves the domain. Each +/- offset pair is visited once, its flux
-        added at one end and subtracted at the other: the exchange is
-        antisymmetric, so sum(rho u) is conserved to rounding.
+        Each +/- offset pair is visited once, its flux added at one end and
+        subtracted at the other: the exchange is antisymmetric, so sum(rho u)
+        is conserved to rounding.
         """
         u, out, r, (f_all, d_all) = self._u, self._out, self.r_eff, self._scratch
-        u[self.flat] = state
+        u.reshape(self.padded)[self.region] = state
         out.fill(0.0)
         for s, w in zip(self.shifts, self.weights):
             m = u.size - s
@@ -207,19 +193,21 @@ class _MaskedStepper:
             f *= w
             out[:m] += f
             out[s:] -= f
-        return out[self.flat]
+        return out.reshape(self.padded)[self.region]
 
     def step(self, state):
         if self.scheme == "euler":
             return state + self.dt * self.rate(state)
         if self.matrix_mode:
-            return state + (self.C @ state - self.cdiag * state) / self.rho
-        return state + self._exchange(state) / self.rho
+            flux = (self.C @ state.ravel()).reshape(state.shape) - self.cdiag * state
+        else:
+            flux = self._exchange(state)
+        return state + flux / self.rho
 
     def rate(self, state):
-        """Generator u_t = (J*u - u)/rho over the mask nodes."""
-        conv = self.op.convolve(self.scatter(state))[self.inside]
-        return (conv - self.kappa * state) / self.rho
+        """Generator u_t = (J*u - u)/rho on the grid, zero off the mask."""
+        op = self.op
+        return (op.chi * op.convolve(state) - op.kappa * state) / self.rho
 
 
 def _stepper(op, rho, scheme, dt, nnz_cap=20_000_000):
@@ -234,8 +222,7 @@ def _one_step(u, medium, stencil, scheme, dt, boundary, mask):
     _check_stencil_fits(u, stencil)
     op = _Operator(u.grid, stencil, boundary, mask)
     stepper = _stepper(op, medium.sample(u.grid), scheme, dt, nnz_cap=0)
-    out = stepper.scatter(stepper.step(stepper.restrict(u.values)))
-    return Field(u.grid, out, copy=False)
+    return Field(u.grid, stepper.step(np.where(op.chi > 0, u.values, 0.0)), copy=False)
 
 
 def step_euler(u, medium, stencil, dt, boundary="zero-extend", mask=None):
@@ -303,7 +290,7 @@ def run(u0, medium, stencil, config, probes=None):
     """Advance u0 to t_end, recording diagnostics every snapshot_every steps.
 
     Deterministic for identical inputs. The masked initial state is the data
-    restricted to the mask. NaN production aborts with the offending step.
+    zeroed off the mask. NaN production aborts with the offending step.
     The operator and rho are built once, for every step and every record.
     """
     config.validate()
@@ -321,7 +308,7 @@ def run(u0, medium, stencil, config, probes=None):
     op = _Operator(grid, stencil, config.boundary, mask)
     rho = medium_eff.sample(grid)
     stepper = _stepper(op, rho, config.scheme, config.dt)
-    state = stepper.restrict(u0.values)
+    state = np.where(op.chi > 0, u0.values, 0.0)
 
     # whole steps of dt, then one shorter step that ends at t_end exactly
     n_steps = int(round(config.t_end / config.dt))
@@ -341,8 +328,8 @@ def run(u0, medium, stencil, config, probes=None):
             if not np.all(np.isfinite(state)):
                 raise NumericalAbort(k)
         if k % config.snapshot_every == 0 or k == last:
-            record(config.t_end if k > n_steps else k * config.dt,
-                   Field(grid, stepper.scatter(state), copy=True))
+            record(config.t_end if k == last else k * config.dt,
+                   Field(grid, state, copy=True))
     traj.validate()
     return traj
 
@@ -371,18 +358,6 @@ class PicardReport:
         return max(w.contraction_bound for w in self.windows)
 
 
-def _dense_conv_matrix(grid, stencil):
-    n = grid.n_nodes
-    if n > 10_000:
-        raise SolverError("fixed-point oracle is capped at 10^4 nodes")
-    W = np.zeros((n, n))
-    idx = np.arange(n).reshape(grid.shape)
-    for offset, w in zip(stencil.offsets, stencil.weights):
-        dst, src = _slice_pair(grid.shape, offset)
-        W[idx[dst].ravel(), idx[src].ravel()] += w
-    return W
-
-
 def picard_solve(u0, medium, stencil, t_end, tol=1e-10, dt=1e-3, window=None,
                  max_iter=400, collect=None):
     """Solve by iterating the integral fixed-point map on short time windows.
@@ -400,8 +375,11 @@ def picard_solve(u0, medium, stencil, t_end, tol=1e-10, dt=1e-3, window=None,
     t0 = window if window is not None else 0.4 * rho0
     if not 0 < t0 < 0.5 * rho0:
         raise SolverError(f"window {t0:g} must lie in (0, rho_min/2) = (0, {0.5 * rho0:g})")
+    n = grid.n_nodes
+    if n > 10_000:
+        raise SolverError("fixed-point oracle is capped at 10^4 nodes")
     n_samples_cap = 10_000_000
-    W = _dense_conv_matrix(grid, stencil)
+    W = _pair_matrix(stencil, np.arange(n).reshape(grid.shape), n, self_pairs=True).toarray()
     hN = grid.spacing ** grid.dim
 
     def norm_w(arr):

@@ -8,7 +8,7 @@ from isoflow import (DomainMask, Field, Grid, GridError, Kernel, Medium, convolv
                      convolve_fft, discretize, integrate, lp_local_distance,
                      lyapunov_F, read_snapshot, step_euler, step_exponential,
                      stencil_second_moment, write_snapshot)
-from isoflow.grids import masked_exchange_matrix
+from isoflow.grids import _pair_matrix, masked_exchange_matrix
 
 
 def brute_convolve_zero_extend(values, stencil):
@@ -163,6 +163,18 @@ class TestConvolveDirect:
             convolve_direct(Field.zeros(g), s)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_pair_matrix_with_self_pairs_is_direct_convolution(dim):
+    # picard_solve's dense J*: every grid node numbered, the zero offset kept
+    g = Grid(1, 5.0, 81) if dim == 1 else Grid(2, 2.0, 21)
+    s = discretize(Kernel.gaussian(0.5, dim=dim), g.spacing, trunc_tol=1e-8)
+    u = Field(g, np.random.default_rng(9).standard_normal(g.shape))
+    n = g.n_nodes
+    W = _pair_matrix(s, np.arange(n).reshape(g.shape), n, self_pairs=True).toarray()
+    want = convolve_direct(u, s).values.ravel()
+    assert np.max(np.abs(W @ u.values.ravel() - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("call", [
     lambda u, s, mask: convolve_direct(u, s, "mask", mask),
     lambda u, s, mask: lyapunov_F(u, s, "mask", mask),
@@ -275,6 +287,14 @@ class TestLpLocal:
         g = Grid(1, 1.0, 11)
         with pytest.raises(GridError):
             lp_local_distance(Field.zeros(g), 0.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize("p, radius", [(math.nan, 1.0), (math.inf, 1.0),
+                                           (2.0, math.nan), (2.0, -1.0)],
+                             ids=["p-nan", "p-inf", "radius-nan", "radius-negative"])
+    def test_non_finite_or_nonpositive_probe_rejected(self, p, radius):
+        g = Grid(1, 1.0, 11)
+        with pytest.raises(GridError):
+            lp_local_distance(Field.zeros(g), 0.0, p, radius)
 
 
 class TestDomainMask:

@@ -381,6 +381,20 @@ def test_bad_initial_table_is_a_config_error(tmp_path, capsys, radii, values):
     assert "field initial" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("probe", ["lp_p = nan", "lp_p = inf", "lp_p = 0.5",
+                                   "lp_radius = nan", "lp_radius = -1.0"],
+                         ids=["lp_p-nan", "lp_p-inf", "lp_p-below-one", "lp_radius-nan",
+                              "lp_radius-negative"])
+def test_bad_probe_is_a_config_error(tmp_path, capsys, probe):
+    cfg = tmp_path / "bad.cfg"
+    key = probe.split(" =")[0]
+    lines = [ln for ln in GOOD_CFG.splitlines() if not ln.startswith(key)]
+    cfg.write_text("\n".join(lines) + f"\n{probe}\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "field probes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_good_initial_table_runs(tmp_path):
     cfg = tmp_path / "good.cfg"
     cfg.write_text(GOOD_CFG.replace("family = gaussian-bump\nheight = 1.0\nwidth = 1.0",

@@ -157,22 +157,26 @@ class TestRun:
                              ids=["2-records", "20-records", "remainder"])
     def test_fft_plan_built_once_per_run(self, setup_1d, monkeypatch, boundary, t_end,
                                          every):
+        # and, on the CSR mask path, the pair matrix too, remainder step or not
         g, s, m = setup_1d
-        calls = []
-        plan = grids._fft_plan
+        calls = {"_fft_plan": 0, "_pair_matrix": 0}
 
-        def counting_plan(*args):
-            calls.append(args)
-            return plan(*args)
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
-        for mod in (grids, solver, diagnostics):
-            if hasattr(mod, "_fft_plan"):
-                monkeypatch.setattr(mod, "_fft_plan", counting_plan)
+        for name in calls:
+            wrapped = counting(name, getattr(grids, name))
+            for mod in (grids, solver, diagnostics):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, wrapped)
         u0 = Field.from_function(g, lambda x: np.exp(-x * x))
         cfg = SolverConfig(scheme="exponential", dt=0.1, t_end=t_end, boundary=boundary,
                            mask_radius=10.0, snapshot_every=every)
         run(u0, m, s, cfg)
-        assert len(calls) == 1
+        assert calls == {"_fft_plan": 1, "_pair_matrix": int(boundary == "mask")}
 
     def test_constant_diagnostics_flat(self, setup_1d):
         g, s, m = setup_1d
@@ -249,6 +253,23 @@ class TestRun:
                               m, s, dt, boundary=boundary, mask=mask).values
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
 
+    @pytest.mark.parametrize("scheme", ["euler", "exponential"])
+    def test_masked_state_is_positive_zero_off_the_mask(self, setup_1d, scheme):
+        # run snapshots (CSR path) and a one-shot step (sweep path), from data
+        # of both signs: off the mask every value is +0.0, never -0.0
+        g, s, m = setup_1d
+        mask = DomainMask(g, 5.0)
+        u0 = Field.from_function(g, lambda x: np.cos(x) - 0.5)
+        dt = 0.5 * stability_dt(m, g) if scheme == "euler" else 0.7
+        cfg = SolverConfig(scheme=scheme, dt=dt, t_end=3.5 * dt, boundary="mask",
+                           mask_radius=5.0, snapshot_every=1)
+        states = [u.values for _, u in run(u0, m, s, cfg).snapshots]
+        stepfn = step_euler if scheme == "euler" else step_exponential
+        states.append(stepfn(u0, m, s, dt, boundary="mask", mask=mask).values)
+        for values in states:
+            outside = values[~mask.inside]
+            assert np.all(outside == 0.0) and not np.any(np.signbit(outside))
+
     def test_nan_abort_carries_step_index(self, setup_1d):
         g, s, m = setup_1d
         u0 = Field.constant(g, 1e308)
@@ -297,7 +318,7 @@ class TestRun:
             want = step_exponential(want, m, s, dt, boundary=boundary, mask=mask)
         assert np.max(np.abs(traj.final().values - want.values)) <= 1e-12
 
-    @pytest.mark.parametrize("t_end", [0.05, 0.45])
+    @pytest.mark.parametrize("t_end", [0.05, 0.45, 1.9])
     def test_short_remainder_recorded_once(self, setup_1d, t_end):
         g, s, m = setup_1d
         cfg = SolverConfig(scheme="exponential", dt=0.1, t_end=t_end, snapshot_every=2)
@@ -363,10 +384,9 @@ class TestMaskedSweep:
         csr = _MaskedStepper(op, rho, scheme, dt)
         sweep = _MaskedStepper(op, rho, scheme, dt, nnz_cap=0)
         assert csr.matrix_mode and not sweep.matrix_mode
-        x = csr.restrict(u0)
         for name in ("step", "rate"):
-            want = getattr(csr, name)(x)
-            got = getattr(sweep, name)(x)
+            want = getattr(csr, name)(u0)
+            got = getattr(sweep, name)(u0)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
 
     @pytest.mark.parametrize("nnz_cap", [20_000_000, 0], ids=["csr", "sweep"])
@@ -375,9 +395,9 @@ class TestMaskedSweep:
         stepper = _MaskedStepper(_Operator(g, s, "mask", mask), m.sample(g), "exponential",
                                  0.7, nnz_cap=nnz_cap)
         W = masked_exchange_matrix(s, mask)
-        x = stepper.restrict(u0)
-        want = (W @ x - np.asarray(W.sum(axis=1)).ravel() * x) / stepper.rho
-        got = stepper.rate(x)
+        x = u0[mask.inside]
+        want = (W @ x - np.asarray(W.sum(axis=1)).ravel() * x) / stepper.rho[mask.inside]
+        got = stepper.rate(u0)[mask.inside]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("scheme", ["euler", "exponential"])
@@ -386,7 +406,7 @@ class TestMaskedSweep:
         dt = 0.9 * stability_dt(m, g) if scheme == "euler" else 0.7
         sweep = _MaskedStepper(_Operator(g, s, "mask", mask), m.sample(g), scheme, dt,
                                nnz_cap=0)
-        x = sweep.restrict(u0)
+        x = u0
         m0 = float(np.sum(sweep.rho * x))
         for _ in range(120):
             x = sweep.step(x)
@@ -396,12 +416,12 @@ class TestMaskedSweep:
         g, s, m, mask, u0 = sweep_case
         sweep = _MaskedStepper(_Operator(g, s, "mask", mask), m.sample(g), "exponential",
                                50.0, nnz_cap=0)
-        x = sweep.restrict(u0)
-        lo, hi = float(x.min()), float(x.max())
+        x, inside = u0, mask.inside
+        lo, hi = float(x[inside].min()), float(x[inside].max())
         for _ in range(20):
             x = sweep.step(x)
-            assert x.min() >= lo - 1e-12 * hi
-            assert x.max() <= hi * (1 + 1e-12)
+            assert x[inside].min() >= lo - 1e-12 * hi
+            assert x[inside].max() <= hi * (1 + 1e-12)
 
 
 class TestPicard:
