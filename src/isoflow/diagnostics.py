@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridError, _Operator, box_quad_weights, lp_local_distance
+from .grids import GridError, _domain, _Operator, box_quad_weights, lp_local_distance
 
 
 @dataclass
@@ -78,7 +78,7 @@ def lyapunov_F(u, stencil, boundary="zero-extend", mask=None):
     invariant in u to rounding. Builds the operator for this one call; a
     run's records reuse the run's operator, so each costs one convolution.
     """
-    return _pair_energy(u, _Operator(u.grid, stencil, boundary, mask))
+    return _pair_energy(u, _Operator(u.grid, stencil, _domain(u.grid, boundary, mask)))
 
 
 def _pair_energy(u, op):
@@ -146,9 +146,10 @@ def lyapunov_identity_check(traj, medium, stencil, boundary="zero-extend", mask=
         raise GridError("identity check needs uniform snapshot spacing")
     delta = float(deltas[0])
     grid = snaps[0][1].grid
+    mask = _domain(grid, boundary, mask)
     rho = medium.sample(grid)
     weights = _rho_weights(grid, rho, mask)
-    op = _Operator(grid, stencil, boundary, mask)
+    op = _Operator(grid, stencil, mask)
 
     F = np.array([_pair_energy(u, op) for _, u in snaps])
     E2 = np.array([_rho_integral(weights, grid, u.values ** 2) for _, u in snaps])

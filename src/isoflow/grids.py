@@ -189,9 +189,19 @@ def _check_stencil_fits(field, stencil):
         raise GridError("stencil is wider than the grid")
 
 
-def _check_mask(mask, grid):
-    if mask is None or mask.grid != grid:
-        raise GridError("mask boundary mode needs a DomainMask on the same grid")
+def _domain(grid, boundary, mask):
+    """The domain of a public ``(boundary, mask)`` pair: ``mask`` under
+    "mask", None (the whole zero-extended grid) under "zero-extend". The
+    only reader of such a pair; below it the mask alone is the domain."""
+    if boundary == "zero-extend":
+        if mask is not None:
+            raise GridError('zero-extend boundary takes no mask; pass boundary="mask"')
+        return None
+    if boundary == "mask":
+        if mask is None or mask.grid != grid:
+            raise GridError("mask boundary mode needs a DomainMask on the same grid")
+        return mask
+    raise GridError(f"unknown boundary mode {boundary!r}")
 
 
 def _convolve_zero_extend(values, stencil):
@@ -210,14 +220,9 @@ def convolve_direct(f, stencil, boundary="zero-extend", mask=None):
     sum over interior y of w(x - y) f(y), and zero outside the mask.
     """
     _check_stencil_fits(f, stencil)
-    if boundary == "zero-extend":
-        return Field(f.grid, _convolve_zero_extend(f.values, stencil), copy=False)
-    if boundary == "mask":
-        _check_mask(mask, f.grid)
-        chi = mask.indicator()
-        out = _convolve_zero_extend(f.values * chi, stencil) * chi
-        return Field(f.grid, out, copy=False)
-    raise GridError(f"unknown boundary mode {boundary!r}")
+    mask = _domain(f.grid, boundary, mask)
+    chi = 1.0 if mask is None else mask.indicator()
+    return Field(f.grid, _convolve_zero_extend(f.values * chi, stencil) * chi, copy=False)
 
 
 def _fft_plan(shape, stencil):
@@ -232,19 +237,17 @@ def _fft_plan(shape, stencil):
 
 class _Operator:
     """The runtime J* of one run, built once and shared by its stepper and
-    every record: the FFT plan, the domain indicator chi (all ones under
-    zero-extend) and the in-domain kernel mass kappa = chi J*chi."""
+    every record: the FFT plan, the domain indicator chi (``mask``, or all
+    ones when ``mask`` is None: zero-extend) and the in-domain kernel mass
+    kappa = chi J*chi."""
 
-    def __init__(self, grid, stencil, boundary, mask):
-        if boundary == "zero-extend":
-            mask, self.chi = None, np.ones(grid.shape)
-        elif boundary == "mask":
-            _check_mask(mask, grid)
-            self.chi = mask.indicator()
-        else:
-            raise GridError(f"unknown boundary mode {boundary!r}")
+    def __init__(self, grid, stencil, mask=None):
         self.grid, self.stencil, self.mask = grid, stencil, mask
-        self.plan = _fft_plan(grid.shape, stencil)
+        self.chi = np.ones(grid.shape) if mask is None else mask.indicator()
+
+    @cached_property
+    def plan(self):
+        return _fft_plan(self.grid.shape, self.stencil)
 
     def convolve(self, values):
         """Zero-extend sum w_k values(x - k) on the grid, by zero-padded real FFTs."""
@@ -260,11 +263,8 @@ class _Operator:
 
     @cached_property
     def pairs(self):
-        """CSR pair weights W[x, x - k] = w_k between distinct in-domain
-        nodes, numbered by grid node (flat, row-major)."""
-        n = self.grid.n_nodes
-        index = np.where(self.chi > 0, np.arange(n).reshape(self.grid.shape), -1)
-        return _pair_matrix(self.stencil, index, n)
+        """CSR pair weights between distinct in-domain nodes (_pair_matrix)."""
+        return _pair_matrix(self.stencil, self.chi > 0)
 
 
 def convolve_fft(f, stencil):
@@ -273,7 +273,7 @@ def convolve_fft(f, stencil):
     Matches convolve_direct within 1e-10 relative on the max norm.
     """
     _check_stencil_fits(f, stencil)
-    conv = _Operator(f.grid, stencil, "zero-extend", None).convolve(f.values)
+    conv = _Operator(f.grid, stencil).convolve(f.values)
     return Field(f.grid, np.ascontiguousarray(conv), copy=False)
 
 
@@ -331,28 +331,27 @@ def lp_local_distance(f, c, p, radius):
 # masked operator assembly
 
 
-def _pair_matrix(stencil, index, n, self_pairs=False):
-    """n x n CSR matrix with W[index[x], index[x - k]] = w_k for every stencil
-    offset k, over a numbering ``index`` of the grid nodes in which -1 means
-    "not a node". The zero offset is left out unless ``self_pairs``."""
+def _pair_matrix(stencil, inside):
+    """CSR matrix W[x, x - k] = w_k for every nonzero stencil offset k and
+    every pair of nodes x, x - k of the boolean grid array ``inside``,
+    numbered by grid node (flat, row-major). Self pairs are never kept."""
+    node = np.arange(inside.size).reshape(inside.shape)
     rows, cols, data = [], [], []
     for offset, w in zip(stencil.offsets, stencil.weights):
-        if not self_pairs and np.all(offset == 0):
+        if np.all(offset == 0):
             continue
-        dst, src = _slice_pair(index.shape, offset)
-        a = index[dst].ravel()
-        b = index[src].ravel()
-        ok = (a >= 0) & (b >= 0)
+        dst, src = _slice_pair(inside.shape, offset)
+        ok = inside[dst] & inside[src]
         if not np.any(ok):
             continue
-        rows.append(a[ok])
-        cols.append(b[ok])
+        rows.append(node[dst][ok])
+        cols.append(node[src][ok])
         data.append(np.full(int(ok.sum()), w))
     if rows:
         rows = np.concatenate(rows)
         cols = np.concatenate(cols)
         data = np.concatenate(data)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    return sparse.csr_matrix((data, (rows, cols)), shape=(inside.size, inside.size))
 
 
 def masked_exchange_matrix(stencil, mask, nnz_cap=20_000_000):
@@ -360,17 +359,16 @@ def masked_exchange_matrix(stencil, mask, nnz_cap=20_000_000):
 
     W[i, j] = w(x_i - x_j) for distinct interior nodes within stencil reach;
     the diagonal is zero (the self weight is reported separately by the
-    stencil). Raises when the assembly would exceed ``nnz_cap`` entries.
+    stencil). This is a masked run's pair matrix restricted to mask nodes.
+    Raises when the assembly would exceed ``nnz_cap`` entries.
     """
     if stencil.dim != mask.grid.dim:
         raise GridError("stencil and mask dimensions differ")
-    n = mask.n_nodes
-    est = n * len(stencil)
+    est = mask.n_nodes * len(stencil)
     if est > nnz_cap:
         raise GridError(f"masked operator too large to materialize ({est} > {nnz_cap})")
-    index = np.full(mask.grid.shape, -1, dtype=np.int64)
-    index[mask.inside] = np.arange(n)
-    return _pair_matrix(stencil, index, n)
+    nodes = np.flatnonzero(mask.inside)
+    return _pair_matrix(stencil, mask.inside)[nodes][:, nodes]
 
 
 # ---------------------------------------------------------------------------

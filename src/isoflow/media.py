@@ -102,32 +102,26 @@ class Medium:
     def eval_points(self, points):
         """Density at points given as an array of shape (n, dim)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.family == "custom":
-            out = np.asarray(self._fn(*(pts[:, d] for d in range(self.dim))), dtype=float)
-        elif self.family == "floored" and self.base.family == "custom":
-            out = np.maximum(self.base.eval_points(pts), self.alpha)
-        else:
-            out = self.rho_of_radius(np.sqrt(np.sum(pts * pts, axis=1)))
-        if np.any(out <= 0) or not np.all(np.isfinite(out)):
-            raise MediumError("medium density must be finite and strictly positive")
-        return out
+        return self._density(*(pts[:, d] for d in range(self.dim)))
 
     def sample(self, grid):
         """Density values on every grid node."""
-        if self.family == "custom" or (self.family == "floored"
-                                       and self.base.family == "custom"):
-            vals = np.broadcast_to(
-                np.asarray(self._sample_custom(grid), dtype=float), grid.shape).copy()
+        return np.broadcast_to(self._density(*grid.coords()), grid.shape).copy()
+
+    def _density(self, *coords):
+        """rho at broadcastable coordinate arrays, one per axis: the one
+        evaluator behind sample and eval_points. A floored medium floors its
+        base before the positivity check."""
+        base, alpha = (self.base, self.alpha) if self.family == "floored" else (self, None)
+        if base.family == "custom":
+            vals = np.asarray(base._fn(*coords), dtype=float)
         else:
-            vals = self.rho_of_radius(grid.radius())
+            vals = base.rho_of_radius(np.sqrt(sum(np.asarray(c) ** 2 for c in coords)))
+        if alpha is not None:
+            vals = np.maximum(vals, alpha)
         if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
             raise MediumError("medium density must be finite and strictly positive")
         return vals
-
-    def _sample_custom(self, grid):
-        if self.family == "floored":
-            return np.maximum(self.base._sample_custom(grid), self.alpha)
-        return self._fn(*grid.coords())
 
     def field(self, grid):
         return Field(grid, self.sample(grid), copy=False)

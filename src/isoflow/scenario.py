@@ -12,7 +12,7 @@ import numpy as np
 from .grids import Field, Grid, write_snapshot
 from .kernels import Kernel, KernelError, discretize
 from .media import Medium, MediumError, classify
-from .solver import Probes, SolverConfig, run
+from .solver import _DIST_TARGETS, Probes, SolverConfig, run
 
 
 class ConfigError(ValueError):
@@ -206,8 +206,8 @@ def validate_scenario(sc):
     if sc.outputs.snapshots not in ("none", "last", "all"):
         raise ConfigError(f"outputs.snapshots must be none|last|all, got "
                           f"{sc.outputs.snapshots!r}", field="outputs")
-    if sc.probes.dist_target not in ("auto", "e_rho", "zero"):
-        raise ConfigError(f"probes.dist_target must be auto|e_rho|zero, got "
+    if sc.probes.dist_target not in _DIST_TARGETS:
+        raise ConfigError(f"probes.dist_target must be {'|'.join(_DIST_TARGETS)}, got "
                           f"{sc.probes.dist_target!r}", field="probes")
     try:
         grid = build_grid(sc.grid)

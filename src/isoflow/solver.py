@@ -8,12 +8,13 @@ import numpy as np
 from scipy import sparse
 
 from . import diagnostics
-from .grids import DomainMask, Field, _check_stencil_fits, _Operator, _pair_matrix
+from .grids import DomainMask, Field, _check_stencil_fits, _domain, _Operator
 from .kernels import stencil_second_moment
 from .media import classify, floor as floor_medium
 
 _SCHEMES = ("euler", "exponential", "picard-oracle")
 _BOUNDARIES = ("zero-extend", "mask")
+_DIST_TARGETS = ("auto", "e_rho", "zero")
 
 
 class SolverError(RuntimeError):
@@ -220,7 +221,7 @@ def _one_step(u, medium, stencil, scheme, dt, boundary, mask):
     """One step of the stepper for ``boundary``; a masked step takes the
     sweep path and drops the data outside the mask."""
     _check_stencil_fits(u, stencil)
-    op = _Operator(u.grid, stencil, boundary, mask)
+    op = _Operator(u.grid, stencil, _domain(u.grid, boundary, mask))
     stepper = _stepper(op, medium.sample(u.grid), scheme, dt, nnz_cap=0)
     return Field(u.grid, stepper.step(np.where(op.chi > 0, u.values, 0.0)), copy=False)
 
@@ -261,6 +262,9 @@ def _resolve_target(medium, u0, weights, masked, probes):
     """Constant the distance columns compare against: the rho-weighted mean of
     the initial data when the medium is integrable or the run is masked (the
     conserved ratio of the masked dynamics), zero otherwise."""
+    if probes.dist_target not in _DIST_TARGETS:
+        raise SolverError(f"dist_target must be {'|'.join(_DIST_TARGETS)}, got "
+                          f"{probes.dist_target!r}")
     if probes.dist_target == "zero":
         return 0.0
     integrable = classify(medium).integrable is True
@@ -301,12 +305,19 @@ def run(u0, medium, stencil, config, probes=None):
     if config.floor_alpha is not None:
         medium_eff = floor_medium(medium, config.floor_alpha)
 
-    if config.scheme == "picard-oracle":
-        return _picard_run(u0, medium_eff, stencil, config, probes)
-
     mask = DomainMask(grid, config.mask_radius) if config.boundary == "mask" else None
-    op = _Operator(grid, stencil, config.boundary, mask)
+    op = _Operator(grid, stencil, mask)
     rho = medium_eff.sample(grid)
+    traj = Trajectory()
+    record = _recorder(traj, u0, medium_eff, rho, op, probes)
+    if config.scheme == "picard-oracle":
+        # snapshots at the window ends
+        record(0.0, u0.copy())
+        _, traj.picard_report = _picard(u0, op, rho, config.t_end, config.picard_tol,
+                                        config.dt, collect=record)
+        traj.validate()
+        return traj
+
     stepper = _stepper(op, rho, config.scheme, config.dt)
     state = np.where(op.chi > 0, u0.values, 0.0)
 
@@ -317,8 +328,6 @@ def run(u0, medium, stencil, config, probes=None):
         n_steps = int(config.t_end // config.dt)
         remainder = config.t_end - n_steps * config.dt
 
-    traj = Trajectory()
-    record = _recorder(traj, u0, medium_eff, rho, op, probes)
     last = n_steps + (remainder > 0)
     for k in range(last + 1):
         if k > n_steps:
@@ -368,9 +377,15 @@ def picard_solve(u0, medium, stencil, t_end, tol=1e-10, dt=1e-3, window=None,
     bounded away from zero (pass a floored medium). Returns the final field;
     ``collect`` receives (t, Field) at window ends when given.
     """
-    grid = u0.grid
     _check_stencil_fits(u0, stencil)
-    rho = medium.sample(grid).ravel()
+    return _picard(u0, _Operator(u0.grid, stencil), medium.sample(u0.grid), t_end, tol, dt,
+                   window, max_iter, collect)
+
+
+def _picard(u0, op, rho, t_end, tol, dt, window=None, max_iter=400, collect=None):
+    """picard_solve on the operator ``op`` (zero-extend) and the sampled ``rho``."""
+    grid = u0.grid
+    rho = rho.ravel()
     rho0 = float(rho.min())
     t0 = window if window is not None else 0.4 * rho0
     if not 0 < t0 < 0.5 * rho0:
@@ -379,7 +394,9 @@ def picard_solve(u0, medium, stencil, t_end, tol=1e-10, dt=1e-3, window=None,
     if n > 10_000:
         raise SolverError("fixed-point oracle is capped at 10^4 nodes")
     n_samples_cap = 10_000_000
-    W = _pair_matrix(stencil, np.arange(n).reshape(grid.shape), n, self_pairs=True).toarray()
+    # dense J*: the pair matrix plus the self weight on the diagonal
+    W = op.pairs.toarray()
+    W[np.diag_indices(n)] = op.stencil.self_weight()
     hN = grid.spacing ** grid.dim
 
     def norm_w(arr):
@@ -424,19 +441,6 @@ def picard_solve(u0, medium, stencil, t_end, tol=1e-10, dt=1e-3, window=None,
         if collect is not None:
             collect(t, Field(grid, state.reshape(grid.shape), copy=True))
     return Field(grid, state.reshape(grid.shape), copy=True), report
-
-
-def _picard_run(u0, medium, stencil, config, probes):
-    """Trajectory wrapper around picard_solve (snapshots at window ends)."""
-    traj = Trajectory()
-    op = _Operator(u0.grid, stencil, "zero-extend", None)
-    record = _recorder(traj, u0, medium, medium.sample(u0.grid), op, probes)
-    record(0.0, u0.copy())
-    _, report = picard_solve(u0, medium, stencil, config.t_end,
-                             tol=config.picard_tol, dt=config.dt, collect=record)
-    traj.picard_report = report
-    traj.validate()
-    return traj
 
 
 # ---------------------------------------------------------------------------

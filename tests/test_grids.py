@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy import special
 
-from isoflow import (DomainMask, Field, Grid, GridError, Kernel, Medium, convolve_direct,
-                     convolve_fft, discretize, integrate, lp_local_distance,
-                     lyapunov_F, read_snapshot, step_euler, step_exponential,
+from isoflow import (DomainMask, Field, Grid, GridError, Kernel, Medium, Trajectory,
+                     convolve_direct, convolve_fft, discretize, integrate,
+                     lp_local_distance, lyapunov_F, lyapunov_identity_check,
+                     read_snapshot, step_euler, step_exponential,
                      stencil_second_moment, write_snapshot)
-from isoflow.grids import _pair_matrix, masked_exchange_matrix
+from isoflow.grids import _Operator, masked_exchange_matrix
 
 
 def brute_convolve_zero_extend(values, stencil):
@@ -165,29 +166,45 @@ class TestConvolveDirect:
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_pair_matrix_with_self_pairs_is_direct_convolution(dim):
-    # picard_solve's dense J*: every grid node numbered, the zero offset kept
+    # picard_solve's dense J*: the zero-extend pair matrix plus the self weight
     g = Grid(1, 5.0, 81) if dim == 1 else Grid(2, 2.0, 21)
     s = discretize(Kernel.gaussian(0.5, dim=dim), g.spacing, trunc_tol=1e-8)
     u = Field(g, np.random.default_rng(9).standard_normal(g.shape))
-    n = g.n_nodes
-    W = _pair_matrix(s, np.arange(n).reshape(g.shape), n, self_pairs=True).toarray()
+    W = _Operator(g, s).pairs.toarray()
+    W[np.diag_indices(g.n_nodes)] = s.self_weight()
     want = convolve_direct(u, s).values.ravel()
     assert np.max(np.abs(W @ u.values.ravel() - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _identity_check(u, s, boundary, mask):
+    traj = Trajectory(snapshots=[(t, u) for t in (0.0, 1.0, 2.0)])
+    return lyapunov_identity_check(traj, Medium.constant(1.0), s, boundary, mask)
+
+
 @pytest.mark.parametrize("call", [
-    lambda u, s, mask: convolve_direct(u, s, "mask", mask),
-    lambda u, s, mask: lyapunov_F(u, s, "mask", mask),
-    lambda u, s, mask: step_euler(u, Medium.constant(1.0), s, 0.1, "mask", mask),
-    lambda u, s, mask: step_exponential(u, Medium.constant(1.0), s, 0.1, "mask", mask),
-], ids=["convolve_direct", "lyapunov_F", "step_euler", "step_exponential"])
-@pytest.mark.parametrize("other_grid", [False, True], ids=["no-mask", "other-grid"])
-def test_mask_must_live_on_the_field_grid(call, other_grid):
+    lambda u, s, boundary, mask: convolve_direct(u, s, boundary, mask),
+    lambda u, s, boundary, mask: lyapunov_F(u, s, boundary, mask),
+    _identity_check,
+    lambda u, s, boundary, mask: step_euler(u, Medium.constant(1.0), s, 0.1, boundary, mask),
+    lambda u, s, boundary, mask: step_exponential(u, Medium.constant(1.0), s, 0.1,
+                                                  boundary, mask),
+], ids=["convolve_direct", "lyapunov_F", "lyapunov_identity_check", "step_euler",
+        "step_exponential"])
+@pytest.mark.parametrize("case", ["no-mask", "other-grid", "zero-extend-with-mask",
+                                  "unknown-mode"])
+def test_mask_must_live_on_the_field_grid(call, case):
+    # every public (boundary, mask) pair is read by grids._domain, so each
+    # caller rejects the same bad pairs with the same GridError
     g = Grid(1, 5.0, 51)
     s = discretize(Kernel.gaussian(0.5), g.spacing)
-    mask = DomainMask(Grid(1, 5.0, 41), 3.0) if other_grid else None
-    with pytest.raises(GridError, match="same grid"):
-        call(Field.zeros(g), s, mask)
+    boundary, mask, match = {
+        "no-mask": ("mask", None, "same grid"),
+        "other-grid": ("mask", DomainMask(Grid(1, 5.0, 41), 3.0), "same grid"),
+        "zero-extend-with-mask": ("zero-extend", DomainMask(g, 3.0), "takes no mask"),
+        "unknown-mode": ("neumann", None, "unknown boundary mode"),
+    }[case]
+    with pytest.raises(GridError, match=match):
+        call(Field.zeros(g), s, boundary, mask)
 
 
 class TestConvolveFFT:

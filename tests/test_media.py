@@ -193,6 +193,19 @@ class TestFloor:
         assert all(a > b for a, b in zip(alphas, alphas[1:]))
         assert alphas[0] == 0.5  # rho(0) * 2^-1
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_floored_custom_evaluates_alike_on_points_and_grids(self, dim):
+        # the base is 0 off |x| < 1: floored, it is alpha there on both paths
+        f = lambda *xs: np.where(sum(x * x for x in xs) < 1.0, 2.0, 0.0)  # noqa: E731
+        m = floor(Medium.custom(f, dim=dim), 0.25)
+        g = Grid(dim, 2.0, 9)
+        grid_vals = m.sample(g)
+        pts = np.stack([np.broadcast_to(c, g.shape).ravel() for c in g.coords()], axis=1)
+        np.testing.assert_array_equal(m.eval_points(pts), grid_vals.ravel())
+        assert set(np.unique(grid_vals)) == {0.25, 2.0}
+        with pytest.raises(MediumError, match="strictly positive"):
+            Medium.custom(f, dim=dim).eval_points(pts)
+
     def test_rejects_nonpositive_alpha(self):
         with pytest.raises(MediumError):
             floor(Medium.constant(1.0), 0.0)

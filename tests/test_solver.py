@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isoflow import (DomainMask, Field, Grid, Kernel, Medium, MediumError, NumericalAbort,
-                     SolverConfig, SolverError, Stencil, convolve_direct, discretize,
+                     Probes, SolverConfig, SolverError, Stencil, convolve_direct, discretize,
                      floor, monotone_approx_run, picard_solve, run, stability_dt,
                      step_euler, step_exponential, trust_radius)
 from isoflow import diagnostics, grids, solver
@@ -151,6 +151,13 @@ class TestRun:
             counts[n_records] = len(calls)
         assert set(counts) == {2, 20, 21}
         assert counts[2] == counts[20] == counts[21] == 1
+
+    def test_unknown_dist_target_rejected(self, setup_1d):
+        # validate_scenario rejects it in files; run rejects it from the API
+        g, s, m = setup_1d
+        cfg = SolverConfig(scheme="exponential", dt=0.1, t_end=0.2)
+        with pytest.raises(SolverError, match="dist_target"):
+            run(Field.constant(g, 1.0), m, s, cfg, Probes(dist_target="bogus"))
 
     @pytest.mark.parametrize("boundary", ["zero-extend", "mask"])
     @pytest.mark.parametrize("t_end, every", [(1.9, 19), (1.9, 1), (1.95, 1)],
@@ -354,7 +361,7 @@ def test_isolated_mask_node_without_self_weight_rejected(nnz_cap):
                  False, 1)
     mask = DomainMask(g, 0.05)   # the origin node alone
     with pytest.raises(SolverError, match="zero in-domain kernel mass"):
-        _MaskedStepper(_Operator(g, s0, "mask", mask), Medium.constant(1.0).sample(g),
+        _MaskedStepper(_Operator(g, s0, mask), Medium.constant(1.0).sample(g),
                        "exponential", 0.1, nnz_cap=nnz_cap)
 
 
@@ -380,7 +387,7 @@ class TestMaskedSweep:
     def test_step_and_rate_match_csr(self, sweep_case, scheme):
         g, s, m, mask, u0 = sweep_case
         dt = 0.9 * stability_dt(m, g) if scheme == "euler" else 0.7
-        op, rho = _Operator(g, s, "mask", mask), m.sample(g)
+        op, rho = _Operator(g, s, mask), m.sample(g)
         csr = _MaskedStepper(op, rho, scheme, dt)
         sweep = _MaskedStepper(op, rho, scheme, dt, nnz_cap=0)
         assert csr.matrix_mode and not sweep.matrix_mode
@@ -392,7 +399,7 @@ class TestMaskedSweep:
     @pytest.mark.parametrize("nnz_cap", [20_000_000, 0], ids=["csr", "sweep"])
     def test_rate_matches_exchange_matrix(self, sweep_case, nnz_cap):
         g, s, m, mask, u0 = sweep_case
-        stepper = _MaskedStepper(_Operator(g, s, "mask", mask), m.sample(g), "exponential",
+        stepper = _MaskedStepper(_Operator(g, s, mask), m.sample(g), "exponential",
                                  0.7, nnz_cap=nnz_cap)
         W = masked_exchange_matrix(s, mask)
         x = u0[mask.inside]
@@ -404,7 +411,7 @@ class TestMaskedSweep:
     def test_mass_conserved_over_many_steps(self, sweep_case, scheme):
         g, s, m, mask, u0 = sweep_case
         dt = 0.9 * stability_dt(m, g) if scheme == "euler" else 0.7
-        sweep = _MaskedStepper(_Operator(g, s, "mask", mask), m.sample(g), scheme, dt,
+        sweep = _MaskedStepper(_Operator(g, s, mask), m.sample(g), scheme, dt,
                                nnz_cap=0)
         x = u0
         m0 = float(np.sum(sweep.rho * x))
@@ -414,7 +421,7 @@ class TestMaskedSweep:
 
     def test_positivity_and_range_at_large_dt(self, sweep_case):
         g, s, m, mask, u0 = sweep_case
-        sweep = _MaskedStepper(_Operator(g, s, "mask", mask), m.sample(g), "exponential",
+        sweep = _MaskedStepper(_Operator(g, s, mask), m.sample(g), "exponential",
                                50.0, nnz_cap=0)
         x, inside = u0, mask.inside
         lo, hi = float(x[inside].min()), float(x[inside].max())
@@ -435,6 +442,20 @@ class TestPicard:
         m = floor(Medium.power_decay(1.0, 2.0), 0.3)
         cfg = SolverConfig(scheme="picard-oracle", dt=1e-2, t_end=0.2)
         assert run(Field.constant(g, 1.0), m, s, cfg).picard_report.windows
+
+    def test_run_samples_the_medium_once(self, monkeypatch):
+        # the picard-oracle branch of run shares the run's rho with its records
+        g = Grid(1, 5.0, 41)
+        s = discretize(Kernel.gaussian(1.0), g.spacing, trunc_tol=1e-8)
+        m = floor(Medium.power_decay(1.0, 2.0), 0.3)
+        calls = []
+        sample = Medium.sample
+        monkeypatch.setattr(Medium, "sample", lambda self, grid: calls.append(grid)
+                            or sample(self, grid))
+        cfg = SolverConfig(scheme="picard-oracle", dt=1e-2, t_end=0.2)
+        traj = run(Field.constant(g, 1.0), m, s, cfg)
+        assert len(traj.diagnostics) > 1
+        assert len(calls) == 1
 
     def test_degenerate_medium_raises_medium_error(self):
         g = Grid(1, 5.0, 41)
