@@ -28,11 +28,12 @@ def quad_weights(grid, mask=None):
 
     Box mode uses trapezoid endpoint half-weights (constants integrate
     exactly); mask mode uses uniform midpoint weights over the mask interior,
-    which is the discretely conserved functional of the masked dynamics.
+    which is the discretely conserved functional of the masked dynamics. A
+    mask built on another grid raises GridError.
     """
     if mask is None:
         return box_quad_weights(grid)
-    return mask.indicator()
+    return _domain(grid, "mask", mask).indicator()
 
 
 def _rho_weights(grid, rho, mask=None):

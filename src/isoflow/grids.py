@@ -330,6 +330,10 @@ def lp_local_distance(f, c, p, radius):
 # ---------------------------------------------------------------------------
 # masked operator assembly
 
+# Largest pair count (mask nodes x stencil offsets) whose exchange is stored:
+# masked_exchange_matrix raises above it and the masked stepper sweeps.
+PAIR_CAP = 20_000_000
+
 
 def _pair_matrix(stencil, inside):
     """CSR matrix W[x, x - k] = w_k for every nonzero stencil offset k and
@@ -354,16 +358,18 @@ def _pair_matrix(stencil, inside):
     return sparse.csr_matrix((data, (rows, cols)), shape=(inside.size, inside.size))
 
 
-def masked_exchange_matrix(stencil, mask, nnz_cap=20_000_000):
+def masked_exchange_matrix(stencil, mask, nnz_cap=None):
     """Symmetric pair-weight matrix over mask nodes.
 
     W[i, j] = w(x_i - x_j) for distinct interior nodes within stencil reach;
     the diagonal is zero (the self weight is reported separately by the
-    stencil). This is a masked run's pair matrix restricted to mask nodes.
-    Raises when the assembly would exceed ``nnz_cap`` entries.
+    stencil). These are the pairs a masked run exchanges over, restricted
+    to mask nodes. Raises when the assembly would exceed ``nnz_cap``
+    entries (default ``PAIR_CAP``).
     """
     if stencil.dim != mask.grid.dim:
         raise GridError("stencil and mask dimensions differ")
+    nnz_cap = PAIR_CAP if nnz_cap is None else nnz_cap
     est = mask.n_nodes * len(stencil)
     if est > nnz_cap:
         raise GridError(f"masked operator too large to materialize ({est} > {nnz_cap})")

@@ -6,8 +6,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import blas
 
-from . import diagnostics
+from . import diagnostics, grids
 from .grids import DomainMask, Field, _check_stencil_fits, _domain, _Operator
 from .kernels import stencil_second_moment
 from .media import classify, floor as floor_medium
@@ -131,15 +132,17 @@ class _MaskedStepper:
     exponential step adds the antisymmetric pair exchange
     sum_k w_k min(r(x), r(x-k)) (u(x-k) - u(x)) at the integrating-factor
     rate r = r_eff, which is no convolution; r is zero off the mask, which
-    cuts every pair that leaves the domain. Mask nodes x stencil offsets
-    within ``nnz_cap`` store that exchange as a CSR matrix: the run
-    operator's pair matrix, numbered by grid node and built once per run,
-    weighted by min(r) (one sparse matvec a step). Above the cap nothing per
-    pair is stored and each step sweeps half the offsets as flat shifts of
-    the grid (see _exchange).
+    cuts every pair that leaves the domain. ``path`` says how that exchange
+    is applied. Mask nodes x stencil offsets within ``nnz_cap`` (default
+    grids.PAIR_CAP) store it: in 1-D as a symmetric band of half-width K,
+    the stencil's, applied by one BLAS dsbmv a step (``"band"``); in 2-D as
+    a CSR matrix, the run operator's pair matrix weighted by min(r) (one
+    sparse matvec a step, ``"csr"``). Above the cap nothing per pair is
+    stored and each step sweeps half the offsets as flat shifts of the grid
+    (``"sweep"``, see _exchange).
     """
 
-    def __init__(self, op, rho, scheme, dt, nnz_cap=20_000_000):
+    def __init__(self, op, rho, scheme, dt, nnz_cap=None):
         grid, stencil, inside = op.grid, op.stencil, op.mask.inside
         self.op, self.rho, self.scheme, self.dt = op, rho, scheme, dt
         if scheme == "euler":
@@ -147,12 +150,28 @@ class _MaskedStepper:
         # FFT rounding leaves about 1e-17 of the weight sum where the mass is 0
         if np.any(op.kappa[inside] <= 1e-12 * stencil.weight_sum()):
             raise SolverError("mask contains a node with zero in-domain kernel mass")
-        self.matrix_mode = op.mask.n_nodes * len(stencil) <= nnz_cap
+        nnz_cap = grids.PAIR_CAP if nnz_cap is None else nnz_cap
+        self.path = "sweep"
+        if op.mask.n_nodes * len(stencil) <= nnz_cap:
+            self.path = "band" if grid.dim == 1 else "csr"
         if scheme == "euler":
             return
         r_eff = np.zeros(grid.shape)
         r_eff[inside] = _effective_step(rho[inside], op.kappa[inside], dt)
-        if self.matrix_mode:
+        if self.path == "band":
+            # LAPACK upper band storage, in Fortran order so that f2py passes
+            # it without a copy: row K - k holds the pairs (x, x + k), row K
+            # the diagonal, minus the row sums. Those are taken by the same
+            # product, so a constant state stays put to the BLAS's rounding.
+            K = int(stencil.halfwidths[0])
+            band = np.zeros((K + 1, grid.n_nodes), order="F")
+            for (k,), w in zip(stencil.offsets, stencil.weights):
+                if k > 0:
+                    band[K - k, k:] = w * np.minimum(r_eff[:-k], r_eff[k:])
+            band[K] = -blas.dsbmv(K, 1.0, band, np.ones(grid.n_nodes))
+            self.K, self.band = K, band
+            return
+        if self.path == "csr":
             P = op.pairs
             coo = P.tocoo(copy=False)
             r = r_eff.ravel()
@@ -199,7 +218,9 @@ class _MaskedStepper:
     def step(self, state):
         if self.scheme == "euler":
             return state + self.dt * self.rate(state)
-        if self.matrix_mode:
+        if self.path == "band":
+            flux = blas.dsbmv(self.K, 1.0, self.band, state)
+        elif self.path == "csr":
             flux = (self.C @ state.ravel()).reshape(state.shape) - self.cdiag * state
         else:
             flux = self._exchange(state)
@@ -211,7 +232,7 @@ class _MaskedStepper:
         return (op.chi * op.convolve(state) - op.kappa * state) / self.rho
 
 
-def _stepper(op, rho, scheme, dt, nnz_cap=20_000_000):
+def _stepper(op, rho, scheme, dt, nnz_cap=None):
     if op.mask is None:
         return _ZeroExtendStepper(op, rho, scheme, dt)
     return _MaskedStepper(op, rho, scheme, dt, nnz_cap)

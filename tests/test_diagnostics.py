@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isoflow import (DomainMask, Field, Grid, Kernel, Medium, Probes, SolverConfig,
-                     discretize, dissipation_budget, floor, lyapunov_F,
+                     Trajectory, discretize, dissipation_budget, floor, lyapunov_F,
                      lyapunov_identity_check, mass, run, weighted_energy)
 from isoflow.diagnostics import dist_l1_weighted
 from isoflow.grids import GridError, _slice_pair
@@ -51,6 +51,22 @@ def loop_lyapunov_F(u, stencil, mask=None):
             total += w * (float(np.sum(diff * diff)) + sumsq_all
                           - float(np.sum(vals[dst] ** 2)))
     return u.grid.spacing ** u.grid.dim * total
+
+
+@pytest.mark.parametrize("call", [
+    lambda u, m, mask: mass(u, m, mask),
+    lambda u, m, mask: weighted_energy(u, m, mask),
+    lambda u, m, mask: dist_l1_weighted(u, m, 0.5, mask),
+    lambda u, m, mask: dissipation_budget(
+        Trajectory(snapshots=[(0.0, u), (1.0, u)]), m, mask),
+], ids=["mass", "weighted_energy", "dist_l1_weighted", "dissipation_budget"])
+def test_mask_only_diagnostics_reject_a_mask_on_another_grid(call):
+    # same shape, other spacing: the indicator would fit but weigh other nodes
+    g = Grid(1, 5.0, 51)
+    u, m = Field.constant(g, 1.0), Medium.constant(1.0)
+    call(u, m, DomainMask(g, 3.0))
+    with pytest.raises(GridError, match="same grid"):
+        call(u, m, DomainMask(Grid(1, 10.0, 51), 3.0))
 
 
 @pytest.fixture

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import isoflow
 from isoflow import (DomainMask, Field, Grid, Kernel, Medium, MediumError, NumericalAbort,
                      Probes, SolverConfig, SolverError, Stencil, convolve_direct, discretize,
                      floor, monotone_approx_run, picard_solve, run, stability_dt,
@@ -164,7 +168,8 @@ class TestRun:
                              ids=["2-records", "20-records", "remainder"])
     def test_fft_plan_built_once_per_run(self, setup_1d, monkeypatch, boundary, t_end,
                                          every):
-        # and, on the CSR mask path, the pair matrix too, remainder step or not
+        # and no pair matrix: a 1-D mask run stores its exchange as a band,
+        # remainder step or not
         g, s, m = setup_1d
         calls = {"_fft_plan": 0, "_pair_matrix": 0}
 
@@ -183,7 +188,7 @@ class TestRun:
         cfg = SolverConfig(scheme="exponential", dt=0.1, t_end=t_end, boundary=boundary,
                            mask_radius=10.0, snapshot_every=every)
         run(u0, m, s, cfg)
-        assert calls == {"_fft_plan": 1, "_pair_matrix": int(boundary == "mask")}
+        assert calls == {"_fft_plan": 1, "_pair_matrix": 0}
 
     def test_constant_diagnostics_flat(self, setup_1d):
         g, s, m = setup_1d
@@ -381,20 +386,40 @@ def sweep_case(request):
 
 
 class TestMaskedSweep:
-    """The flat-shift sweep (forced with nnz_cap=0) against the CSR stepper."""
+    """The flat-shift sweep (forced with nnz_cap=0) against the stored
+    exchange: the band in 1-D, CSR in 2-D."""
 
     @pytest.mark.parametrize("scheme", ["euler", "exponential"])
     def test_step_and_rate_match_csr(self, sweep_case, scheme):
         g, s, m, mask, u0 = sweep_case
         dt = 0.9 * stability_dt(m, g) if scheme == "euler" else 0.7
         op, rho = _Operator(g, s, mask), m.sample(g)
-        csr = _MaskedStepper(op, rho, scheme, dt)
+        stored = _MaskedStepper(op, rho, scheme, dt)
         sweep = _MaskedStepper(op, rho, scheme, dt, nnz_cap=0)
-        assert csr.matrix_mode and not sweep.matrix_mode
+        assert (stored.path, sweep.path) == ("band" if g.dim == 1 else "csr", "sweep")
         for name in ("step", "rate"):
-            want = getattr(csr, name)(u0)
+            want = getattr(stored, name)(u0)
             got = getattr(sweep, name)(u0)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+    def test_stored_step_matches_weighted_exchange_matrix(self, sweep_case):
+        # x + (C x - rowsum(C) x)/rho with C = W min(r_i, r_j) over mask nodes
+        g, s, m, mask, u0 = sweep_case
+        op, rho = _Operator(g, s, mask), m.sample(g)
+        stepper = _MaskedStepper(op, rho, "exponential", 0.7)
+        inside = mask.inside
+        r = solver._effective_step(rho[inside], op.kappa[inside], 0.7)
+        C = masked_exchange_matrix(s, mask).tocoo()
+        C.data *= np.minimum(r[C.row], r[C.col])
+        x = u0[inside]
+        want = x + (C @ x - np.asarray(C.sum(axis=1)).ravel() * x) / rho[inside]
+        got = stepper.step(u0)
+        assert np.max(np.abs(got[inside] - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.all(got[~inside] == 0.0)
+        if g.dim == 1:
+            K = int(s.halfwidths[0])
+            assert stepper.band.shape == (K + 1, g.n_nodes)
+            assert stepper.band.flags.f_contiguous
 
     @pytest.mark.parametrize("nnz_cap", [20_000_000, 0], ids=["csr", "sweep"])
     def test_rate_matches_exchange_matrix(self, sweep_case, nnz_cap):
@@ -409,26 +434,71 @@ class TestMaskedSweep:
 
     @pytest.mark.parametrize("scheme", ["euler", "exponential"])
     def test_mass_conserved_over_many_steps(self, sweep_case, scheme):
+        # on the stored path (default cap) and on the sweep
         g, s, m, mask, u0 = sweep_case
         dt = 0.9 * stability_dt(m, g) if scheme == "euler" else 0.7
-        sweep = _MaskedStepper(_Operator(g, s, mask), m.sample(g), scheme, dt,
-                               nnz_cap=0)
-        x = u0
-        m0 = float(np.sum(sweep.rho * x))
-        for _ in range(120):
-            x = sweep.step(x)
-        assert abs(float(np.sum(sweep.rho * x)) - m0) <= 1e-12 * m0
+        op, rho = _Operator(g, s, mask), m.sample(g)
+        for nnz_cap in (None, 0):
+            stepper = _MaskedStepper(op, rho, scheme, dt, nnz_cap=nnz_cap)
+            x = u0
+            m0 = float(np.sum(rho * x))
+            for _ in range(120):
+                x = stepper.step(x)
+            assert abs(float(np.sum(rho * x)) - m0) <= 1e-12 * m0, stepper.path
 
     def test_positivity_and_range_at_large_dt(self, sweep_case):
+        # on the stored path (default cap) and on the sweep
         g, s, m, mask, u0 = sweep_case
-        sweep = _MaskedStepper(_Operator(g, s, mask), m.sample(g), "exponential",
-                               50.0, nnz_cap=0)
-        x, inside = u0, mask.inside
-        lo, hi = float(x[inside].min()), float(x[inside].max())
-        for _ in range(20):
-            x = sweep.step(x)
-            assert x[inside].min() >= lo - 1e-12 * hi
-            assert x[inside].max() <= hi * (1 + 1e-12)
+        op, rho, inside = _Operator(g, s, mask), m.sample(g), mask.inside
+        lo, hi = float(u0[inside].min()), float(u0[inside].max())
+        for nnz_cap in (None, 0):
+            stepper = _MaskedStepper(op, rho, "exponential", 50.0, nnz_cap=nnz_cap)
+            x = u0
+            for _ in range(20):
+                x = stepper.step(x)
+                assert x[inside].min() >= lo - 1e-12 * hi, stepper.path
+                assert x[inside].max() <= hi * (1 + 1e-12), stepper.path
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_pair_cap_picks_the_path(self, monkeypatch, dim):
+        g = Grid(dim, 4.0, 41)
+        s = discretize(Kernel.gaussian(0.6, dim=dim), g.spacing, trunc_tol=1e-8)
+        op = _Operator(g, s, DomainMask(g, 4.0))
+        rho = Medium.constant(1.0).sample(g)
+        pairs = op.mask.n_nodes * len(s)
+        stored = "band" if dim == 1 else "csr"
+        for cap, path in ((pairs, stored), (pairs - 1, "sweep")):
+            monkeypatch.setattr(grids, "PAIR_CAP", cap)
+            assert _MaskedStepper(op, rho, "exponential", 0.1).path == path
+        with pytest.raises(grids.GridError, match="too large"):
+            masked_exchange_matrix(s, op.mask)
+
+
+_BLAS_THREADS_RUN = """
+import sys
+import numpy as np
+from isoflow import Field, Grid, Kernel, Medium, SolverConfig, discretize, run
+g = Grid(1, 50.0, 2001)
+s = discretize(Kernel.gaussian(1.0), g.spacing)
+u0 = Field(g, np.random.default_rng(1).random(g.shape))
+cfg = SolverConfig(scheme="exponential", dt=0.25, t_end=50.0, boundary="mask",
+                   mask_radius=50.0, snapshot_every=10 ** 9)
+final = run(u0, Medium.power_decay(1.0, 2.0), s, cfg).final()
+sys.stdout.write(final.values.tobytes().hex())
+"""
+
+
+def test_masked_run_is_bitwise_independent_of_blas_threads():
+    # the 1-D band step is a BLAS call, and Tier-1 does not pin BLAS threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(isoflow.__file__)))
+    finals = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _BLAS_THREADS_RUN], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        finals.append(out.stdout)
+    assert len(finals[0]) == 2001 * 16
+    assert finals[0] == finals[1]
 
 
 class TestPicard:
