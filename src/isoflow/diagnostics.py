@@ -136,8 +136,17 @@ class IdentityReport:
     times: np.ndarray
 
 
-def lyapunov_identity_check(traj, medium, stencil, boundary="zero-extend", mask=None):
-    """Check dF/dt = -4 int rho u_t^2 and F = -d/dt int rho u^2 on snapshots."""
+def _run_weights(traj):
+    """Rho weights of the run that produced ``traj``, from its rho and mask."""
+    if traj.rho is None:
+        raise GridError("trajectory has no rho: it was not produced by solver.run")
+    return _rho_weights(traj.snapshots[0][1].grid, traj.rho, traj.mask)
+
+
+def lyapunov_identity_check(traj):
+    """Check dF/dt = -4 int rho u_t^2 and F = -d/dt int rho u^2 on the
+    snapshots of a run, reading F and int rho u^2 from its records."""
+    weights = _run_weights(traj)
     snaps = traj.snapshots
     if len(snaps) < 3:
         raise GridError("identity check needs at least 3 snapshots")
@@ -147,21 +156,16 @@ def lyapunov_identity_check(traj, medium, stencil, boundary="zero-extend", mask=
         raise GridError("identity check needs uniform snapshot spacing")
     delta = float(deltas[0])
     grid = snaps[0][1].grid
-    mask = _domain(grid, boundary, mask)
-    rho = medium.sample(grid)
-    weights = _rho_weights(grid, rho, mask)
-    op = _Operator(grid, stencil, mask)
-
-    F = np.array([_pair_energy(u, op) for _, u in snaps])
-    E2 = np.array([_rho_integral(weights, grid, u.values ** 2) for _, u in snaps])
+    F = np.array([rec.lyapunov_F for rec in traj.diagnostics])
+    E2 = np.array([rec.weighted_energy for rec in traj.diagnostics])
 
     # rounding floors: once the state is constant to roundoff both sides of an
     # identity are pure noise and the residual is vacuous. F-type quantities
     # see roundoff at second order in the state (differences are squared),
     # the weighted energy at first order.
     u_scale = max(float(np.max(np.abs(u.values))) for _, u in snaps)
-    vol = grid.spacing ** grid.dim * float(np.sum(quad_weights(grid, mask)))
-    rho_max = float(np.max(rho))
+    vol = grid.spacing ** grid.dim * float(np.sum(quad_weights(grid, traj.mask)))
+    rho_max = float(np.max(traj.rho))
     noise_d = 1e6 * vol * (1e-15 * u_scale) ** 2 * (1.0 + rho_max) / delta ** 2
     noise_e = 1e3 * vol * rho_max * u_scale ** 2 * 1e-16 / delta
 
@@ -183,18 +187,18 @@ def lyapunov_identity_check(traj, medium, stencil, boundary="zero-extend", mask=
     return IdentityReport(float(rd.max()), float(re.max()), rd, re, np.array(ts))
 
 
-def dissipation_budget(traj, medium, mask=None, start=0):
+def dissipation_budget(traj, start=0):
     """Time quadrature of int rho u_t^2 from snapshot ``start`` to the end.
 
     u_t is central-differenced from the snapshots (one-sided at the window
     ends). The decay identity bounds this by F(t_start)/4.
     """
+    weights = _run_weights(traj)
     snaps = traj.snapshots
     if len(snaps) - start < 2:
         return 0.0
     times = np.array([t for t, _ in snaps])
     grid = snaps[0][1].grid
-    weights = _rho_weights(grid, medium.sample(grid), mask)
 
     def rate_sq(k):
         lo = max(start, k - 1)

@@ -358,21 +358,20 @@ def _pair_matrix(stencil, inside):
     return sparse.csr_matrix((data, (rows, cols)), shape=(inside.size, inside.size))
 
 
-def masked_exchange_matrix(stencil, mask, nnz_cap=None):
+def masked_exchange_matrix(stencil, mask):
     """Symmetric pair-weight matrix over mask nodes.
 
     W[i, j] = w(x_i - x_j) for distinct interior nodes within stencil reach;
     the diagonal is zero (the self weight is reported separately by the
     stencil). These are the pairs a masked run exchanges over, restricted
-    to mask nodes. Raises when the assembly would exceed ``nnz_cap``
-    entries (default ``PAIR_CAP``).
+    to mask nodes. Raises when the assembly would exceed ``PAIR_CAP``
+    entries.
     """
     if stencil.dim != mask.grid.dim:
         raise GridError("stencil and mask dimensions differ")
-    nnz_cap = PAIR_CAP if nnz_cap is None else nnz_cap
     est = mask.n_nodes * len(stencil)
-    if est > nnz_cap:
-        raise GridError(f"masked operator too large to materialize ({est} > {nnz_cap})")
+    if est > PAIR_CAP:
+        raise GridError(f"masked operator too large to materialize ({est} > {PAIR_CAP})")
     nodes = np.flatnonzero(mask.inside)
     return _pair_matrix(stencil, mask.inside)[nodes][:, nodes]
 

@@ -66,6 +66,8 @@ class Trajectory:
     snapshots: list = dc_field(default_factory=list)
     diagnostics: list = dc_field(default_factory=list)
     picard_report: "PicardReport | None" = None   # set by the picard-oracle scheme
+    rho: "np.ndarray | None" = None        # set by run: the sampled (floored) rho
+    mask: "DomainMask | None" = None       # set by run: None under zero-extend
 
     def times(self):
         return np.array([t for t, _ in self.snapshots])
@@ -329,7 +331,7 @@ def run(u0, medium, stencil, config, probes=None):
     mask = DomainMask(grid, config.mask_radius) if config.boundary == "mask" else None
     op = _Operator(grid, stencil, mask)
     rho = medium_eff.sample(grid)
-    traj = Trajectory()
+    traj = Trajectory(rho=rho, mask=mask)
     record = _recorder(traj, u0, medium_eff, rho, op, probes)
     if config.scheme == "picard-oracle":
         # snapshots at the window ends
@@ -389,18 +391,18 @@ class PicardReport:
 
 
 def picard_solve(u0, medium, stencil, t_end, tol=1e-10, dt=1e-3, window=None,
-                 max_iter=400, collect=None):
+                 max_iter=400):
     """Solve by iterating the integral fixed-point map on short time windows.
 
     On each window [0, t0] with t0 below half the medium minimum, the map
     w -> w0 + (1/rho) * cumulative-sum of (J*w - w) (left-endpoint rule) is a
     contraction; windows are concatenated until t_end. The medium must be
-    bounded away from zero (pass a floored medium). Returns the final field;
-    ``collect`` receives (t, Field) at window ends when given.
+    bounded away from zero (pass a floored medium). Returns the final field
+    and the PicardReport.
     """
     _check_stencil_fits(u0, stencil)
     return _picard(u0, _Operator(u0.grid, stencil), medium.sample(u0.grid), t_end, tol, dt,
-                   window, max_iter, collect)
+                   window, max_iter)
 
 
 def _picard(u0, op, rho, t_end, tol, dt, window=None, max_iter=400, collect=None):

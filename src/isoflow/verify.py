@@ -197,22 +197,15 @@ def _suite_conservation():
 
 def lyapunov_refinement(u0, medium, stencil, config, probes=None, levels=3):
     """Run ``config`` at dt / 2^level for each level and check the decay
-    identities of each run against the medium it stepped with: ``medium``
-    floored at ``config.floor_alpha`` when that is set.
+    identities of each run against the rho and mask it stepped with.
 
     Returns one (config, trajectory, IdentityReport) triple per level.
     """
-    config.validate()
-    stepped = (medium if config.floor_alpha is None
-               else floor_medium(medium, config.floor_alpha))
-    mask = (DomainMask(u0.grid, config.mask_radius)
-            if config.boundary == "mask" else None)
     out = []
     for level in range(levels):
         cfg = replace(config, dt=config.dt / 2 ** level)
         traj = run(u0, medium, stencil, cfg, probes)
-        out.append((cfg, traj, lyapunov_identity_check(traj, stepped, stencil,
-                                                       cfg.boundary, mask)))
+        out.append((cfg, traj, lyapunov_identity_check(traj)))
     return out
 
 

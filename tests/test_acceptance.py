@@ -13,11 +13,12 @@ from scipy import integrate as sp_integrate
 import isoflow as iso
 from isoflow import (DomainMask, Field, Grid, Kernel, Medium,
                      SolverConfig, comparison_harness, discretize, floor,
-                     lyapunov_identity_check, monotone_approx_run, picard_solve,
+                     monotone_approx_run, picard_solve,
                      quadratic_growth_constant, quadratic_identity, run,
                      steady_state_nullspace, stencil_second_moment,
                      supersolution_residual, trust_radius)
 from isoflow.diagnostics import dissipation_budget
+from isoflow.verify import lyapunov_refinement
 
 
 def report(num, name, passed, metric):
@@ -105,26 +106,21 @@ def test_criterion_4_lyapunov():
     grid = Grid(1, 20.0, 201)
     stencil = discretize(Kernel.gaussian(1.0), grid.spacing)
     medium = Medium.power_decay(1.0, 2.0)
-    alpha = 0.8
-    floored = floor(medium, alpha)
-    mask = DomainMask(grid, 20.0)
     u0 = bump(grid, 2.0)
+    cfg = SolverConfig(scheme="exponential", dt=0.1, t_end=48.0,
+                       boundary="mask", mask_radius=20.0, snapshot_every=40,
+                       floor_alpha=0.8)
 
+    # dt = 0.1, 0.05, 0.025
+    levels = lyapunov_refinement(u0, medium, stencil, cfg, levels=3)
     resid_decay, resid_energy = [], []
-    dts = (0.1, 0.05, 0.025)
-    base_traj = None
-    for dt in dts:
-        cfg = SolverConfig(scheme="exponential", dt=dt, t_end=48.0,
-                           boundary="mask", mask_radius=20.0, snapshot_every=40,
-                           floor_alpha=alpha)
-        traj = run(u0, medium, stencil, cfg)
-        if base_traj is None:
-            base_traj = traj
+    for _, traj, rep in levels:
         F = np.array([r.lyapunov_F for r in traj.diagnostics])
         assert np.max(np.diff(F)) <= 1e-12 * F[0], "F must be nonincreasing"
-        rep = lyapunov_identity_check(traj, floored, stencil, "mask", mask)
         resid_decay.append(rep.max_resid_decay)
         resid_energy.append(rep.max_resid_energy)
+    dts = [level_cfg.dt for level_cfg, _, _ in levels]
+    base_traj = levels[0][1]
 
     logdt = np.log(dts)
     order_d = float(np.polyfit(logdt, np.log(resid_decay), 1)[0])
@@ -133,7 +129,7 @@ def test_criterion_4_lyapunov():
     F = np.array([r.lyapunov_F for r in base_traj.diagnostics])
     budget_ok = True
     for start in range(len(F) - 1):
-        budget = dissipation_budget(base_traj, floored, mask, start=start)
+        budget = dissipation_budget(base_traj, start=start)
         budget_ok = budget_ok and budget <= F[start] / 4.0 * 1.01
     report(4, "lyapunov",
            order_d >= 1.0 and order_e >= 1.0 and budget_ok,

@@ -6,6 +6,7 @@ import pytest
 from isoflow import (DomainMask, Field, Grid, Kernel, Medium, Probes, SolverConfig,
                      Trajectory, discretize, dissipation_budget, floor, lyapunov_F,
                      lyapunov_identity_check, mass, run, weighted_energy)
+from isoflow import grids
 from isoflow.diagnostics import dist_l1_weighted
 from isoflow.grids import GridError, _slice_pair
 
@@ -57,9 +58,7 @@ def loop_lyapunov_F(u, stencil, mask=None):
     lambda u, m, mask: mass(u, m, mask),
     lambda u, m, mask: weighted_energy(u, m, mask),
     lambda u, m, mask: dist_l1_weighted(u, m, 0.5, mask),
-    lambda u, m, mask: dissipation_budget(
-        Trajectory(snapshots=[(0.0, u), (1.0, u)]), m, mask),
-], ids=["mass", "weighted_energy", "dist_l1_weighted", "dissipation_budget"])
+], ids=["mass", "weighted_energy", "dist_l1_weighted"])
 def test_mask_only_diagnostics_reject_a_mask_on_another_grid(call):
     # same shape, other spacing: the indicator would fit but weigh other nodes
     g = Grid(1, 5.0, 51)
@@ -183,9 +182,7 @@ def mask_trajectory():
     g = Grid(1, 20.0, 201)
     s = discretize(Kernel.gaussian(1.0), g.spacing)
     base = Medium.power_decay(1.0, 2.0)
-    m = floor(base, 0.5)
     u0 = Field.from_function(g, lambda x: np.exp(-0.5 * x * x))
-    mask = DomainMask(g, 20.0)
 
     def make(dt, t_end=24.0, every=10):
         cfg = SolverConfig(scheme="exponential", dt=dt, t_end=t_end,
@@ -193,7 +190,7 @@ def mask_trajectory():
                            snapshot_every=every, floor_alpha=0.5)
         return run(u0, base, s, cfg)
 
-    return g, s, m, mask, make
+    return make
 
 
 class TestIdentities:
@@ -204,36 +201,75 @@ class TestIdentities:
         cfg = SolverConfig(scheme="exponential", dt=0.5, t_end=5.0,
                            boundary="mask", mask_radius=5.0, snapshot_every=1)
         traj = run(Field.constant(g, 2.0), m, s, cfg)
-        rep = lyapunov_identity_check(traj, m, s, "mask", DomainMask(g, 5.0))
+        rep = lyapunov_identity_check(traj)
         assert rep.max_resid_decay == 0.0
         assert rep.max_resid_energy == 0.0
 
     def test_residuals_refine_under_halving(self, mask_trajectory):
-        g, s, m, mask, make = mask_trajectory
+        make = mask_trajectory
         worst = []
         for dt in (0.2, 0.1, 0.05):
-            rep = lyapunov_identity_check(make(dt), m, s, "mask", mask)
+            rep = lyapunov_identity_check(make(dt))
             worst.append(max(rep.max_resid_decay, rep.max_resid_energy))
         assert worst[0] > worst[1] > worst[2]
         assert math.log2(worst[0] / worst[2]) / 2.0 >= 1.0
 
     def test_f_monotone_along_trajectory(self, mask_trajectory):
-        g, s, m, mask, make = mask_trajectory
+        make = mask_trajectory
         traj = make(0.1)
         F = np.array([rec.lyapunov_F for rec in traj.diagnostics])
         assert np.max(np.diff(F)) <= 1e-12 * F[0]
 
     def test_needs_three_snapshots(self, mask_trajectory):
-        g, s, m, mask, make = mask_trajectory
+        make = mask_trajectory
         traj = make(0.1, t_end=0.1, every=1)
         with pytest.raises(GridError):
-            lyapunov_identity_check(traj, m, s, "mask", mask)
+            lyapunov_identity_check(traj)
 
     def test_weighted_energy_nonincreasing(self, mask_trajectory):
-        g, s, m, mask, make = mask_trajectory
+        make = mask_trajectory
         traj = make(0.1)
         E = np.array([rec.weighted_energy for rec in traj.diagnostics])
         assert np.max(np.diff(E)) <= 1e-12 * E[0]
+
+
+class TestRunChecks:
+    """The identity check and the budget read the run's records, rho and mask."""
+
+    def test_a_trajectory_not_produced_by_run_is_refused(self):
+        g = Grid(1, 5.0, 51)
+        u = Field.constant(g, 1.0)
+        traj = Trajectory(snapshots=[(t, u) for t in (0.0, 1.0, 2.0)])
+        with pytest.raises(GridError, match="solver.run"):
+            lyapunov_identity_check(traj)
+        with pytest.raises(GridError, match="solver.run"):
+            dissipation_budget(traj)
+
+    @pytest.mark.parametrize("boundary", ["zero-extend", "mask"])
+    def test_checks_sample_no_medium_and_build_no_plan(self, monkeypatch, boundary):
+        g = Grid(1, 10.0, 101)
+        s = discretize(Kernel.gaussian(1.0), g.spacing)
+        calls = {"rho": 0, "_fft_plan": 0}
+
+        def rho(x):
+            calls["rho"] += 1
+            return 1.0 / (1.0 + x * x)
+
+        plan = grids._fft_plan
+
+        def counting_plan(*args):
+            calls["_fft_plan"] += 1
+            return plan(*args)
+
+        m = Medium.custom(rho, tail="integrable", total_mass=math.pi)
+        cfg = SolverConfig(scheme="exponential", dt=0.1, t_end=1.0, boundary=boundary,
+                           mask_radius=10.0, snapshot_every=2)
+        traj = run(Field.from_function(g, lambda x: np.exp(-x * x)), m, s, cfg)
+        monkeypatch.setattr(grids, "_fft_plan", counting_plan)
+        calls["rho"] = 0
+        lyapunov_identity_check(traj)
+        dissipation_budget(traj, start=1)
+        assert calls == {"rho": 0, "_fft_plan": 0}
 
 
 class TestDissipationBudget:
@@ -245,27 +281,27 @@ class TestDissipationBudget:
                            boundary="mask", mask_radius=5.0, snapshot_every=1)
         traj = run(Field.constant(g, 2.0), m, s, cfg)
         # pure roundoff jitter of a fixed point; vastly below any real budget
-        assert dissipation_budget(traj, m, DomainMask(g, 5.0)) <= 1e-25
+        assert dissipation_budget(traj) <= 1e-25
 
     def test_bounded_by_quarter_f(self, mask_trajectory):
-        g, s, m, mask, make = mask_trajectory
+        make = mask_trajectory
         traj = make(0.05)
         F = np.array([rec.lyapunov_F for rec in traj.diagnostics])
         for start in (0, len(F) // 4, len(F) // 2):
-            budget = dissipation_budget(traj, m, mask, start=start)
+            budget = dissipation_budget(traj, start=start)
             assert budget <= F[start] / 4.0 * 1.01
 
     def test_nondecreasing_in_window(self, mask_trajectory):
-        g, s, m, mask, make = mask_trajectory
+        make = mask_trajectory
         traj = make(0.1)
-        budgets = [dissipation_budget(traj, m, mask, start=st)
+        budgets = [dissipation_budget(traj, start=st)
                    for st in (len(traj.diagnostics) // 2, len(traj.diagnostics) // 4, 0)]
         assert budgets[0] <= budgets[1] <= budgets[2]
 
 
 class TestRecordInvariants:
     def test_record_fields_consistent(self, mask_trajectory):
-        g, s, m, mask, make = mask_trajectory
+        make = mask_trajectory
         for rec in make(0.1).diagnostics:
             assert rec.lyapunov_F >= 0.0
             assert rec.inf_u <= rec.u_at_origin <= rec.sup_u

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from isoflow import (DomainMask, Field, Grid, GridError, Kernel, Medium, Trajectory,
-                     convolve_direct, convolve_fft, discretize, integrate,
-                     lp_local_distance, lyapunov_F, lyapunov_identity_check,
+from isoflow import (DomainMask, Field, Grid, GridError, Kernel, Medium, convolve_direct,
+                     convolve_fft, discretize, integrate, lp_local_distance, lyapunov_F,
                      read_snapshot, step_euler, step_exponential,
                      stencil_second_moment, write_snapshot)
 from isoflow.grids import _Operator, masked_exchange_matrix
@@ -176,20 +175,13 @@ def test_pair_matrix_with_self_pairs_is_direct_convolution(dim):
     assert np.max(np.abs(W @ u.values.ravel() - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _identity_check(u, s, boundary, mask):
-    traj = Trajectory(snapshots=[(t, u) for t in (0.0, 1.0, 2.0)])
-    return lyapunov_identity_check(traj, Medium.constant(1.0), s, boundary, mask)
-
-
 @pytest.mark.parametrize("call", [
     lambda u, s, boundary, mask: convolve_direct(u, s, boundary, mask),
     lambda u, s, boundary, mask: lyapunov_F(u, s, boundary, mask),
-    _identity_check,
     lambda u, s, boundary, mask: step_euler(u, Medium.constant(1.0), s, 0.1, boundary, mask),
     lambda u, s, boundary, mask: step_exponential(u, Medium.constant(1.0), s, 0.1,
                                                   boundary, mask),
-], ids=["convolve_direct", "lyapunov_F", "lyapunov_identity_check", "step_euler",
-        "step_exponential"])
+], ids=["convolve_direct", "lyapunov_F", "step_euler", "step_exponential"])
 @pytest.mark.parametrize("case", ["no-mask", "other-grid", "zero-extend-with-mask",
                                   "unknown-mode"])
 def test_mask_must_live_on_the_field_grid(call, case):

@@ -178,12 +178,27 @@ class TestNullspace:
 
 class TestSuites:
     def test_every_named_suite_passes(self):
+        names = []
         for name in suite_names():
             if name == "all":
                 continue
             results = run_suite(name)
             assert results, name
             assert all(r.passed for r in results), (name, format_checks(results))
+            names.extend(r.name for r in results)
+        # the CHECK lines of `isoflow verify all`, in order
+        assert names == [
+            "conservation.mass_drift",
+            "lyapunov.monotone_dt=0.1", "lyapunov.monotone_dt=0.05",
+            "lyapunov.residual_refines",
+            "comparison.ordering",
+            "quadratic.1d_uniform", "quadratic.2d_gaussian",
+            "supersolution.gamma=0", "supersolution.sharpness_gamma=0",
+            "supersolution.gamma=1", "supersolution.sharpness_gamma=1",
+            "supersolution.gamma=2", "supersolution.sharpness_gamma=2",
+            "nullspace.connected", "nullspace.split",
+            "picard.agreement", "picard.contraction",
+        ]
 
     def test_format_lines(self):
         results = run_suite("quadratic-identity")
