@@ -188,13 +188,17 @@ def lyapunov_identity_check(traj):
 
 
 def dissipation_budget(traj, start=0):
-    """Time quadrature of int rho u_t^2 from snapshot ``start`` to the end.
+    """Time quadrature of int rho u_t^2 from snapshot ``start``, an index in
+    [0, len(traj.snapshots) - 1], to the end (0.0 from the last one).
 
     u_t is central-differenced from the snapshots (one-sided at the window
     ends). The decay identity bounds this by F(t_start)/4.
     """
     weights = _run_weights(traj)
     snaps = traj.snapshots
+    if not isinstance(start, (int, np.integer)) or not 0 <= start < len(snaps):
+        raise GridError(f"start must be an integer in [0, {len(snaps) - 1}] for a "
+                        f"trajectory of {len(snaps)} snapshots, got {start!r}")
     if len(snaps) - start < 2:
         return 0.0
     times = np.array([t for t, _ in snaps])

@@ -226,13 +226,17 @@ def convolve_direct(f, stencil, boundary="zero-extend", mask=None):
 
 
 def _fft_plan(shape, stencil):
-    """Padded shape and kernel transform for zero-extend FFT convolution."""
+    """Padded shape, kernel transform and row buffer of zero-extend FFT
+    convolution. An axis of n nodes and halfwidth K pads to the shortest
+    5-smooth P >= n + K, which keeps every wrapped source x - k, |k| <= K,
+    off the n data nodes. The kernel is transformed along the last axis, then
+    along axis 0; the row buffer is the data rows, padded on the last axis."""
     hw = stencil.halfwidths
-    pad_shape = tuple(sp_fft.next_fast_len(n + int(w) + 1) for n, w in zip(shape, hw))
+    pad_shape = tuple(sp_fft.next_fast_len(n + int(w), real=True) for n, w in zip(shape, hw))
     karr = np.zeros(pad_shape)
     idx = tuple((stencil.offsets[:, d]) % pad_shape[d] for d in range(len(shape)))
     np.add.at(karr, idx, stencil.weights)
-    return pad_shape, sp_fft.rfftn(karr)
+    return pad_shape, sp_fft.rfftn(karr), np.zeros(shape[:-1] + pad_shape[-1:])
 
 
 class _Operator:
@@ -250,12 +254,21 @@ class _Operator:
         return _fft_plan(self.grid.shape, self.stencil)
 
     def convolve(self, values):
-        """Zero-extend sum w_k values(x - k) on the grid, by zero-padded real FFTs."""
-        pad_shape, khat = self.plan
-        region = tuple(slice(0, n) for n in values.shape)
-        fpad = np.zeros(pad_shape)
-        fpad[region] = values
-        return sp_fft.irfftn(sp_fft.rfftn(fpad) * khat, s=pad_shape)[region]
+        """Zero-extend sum w_k values(x - k) by real FFTs that skip the zero
+        padding: ``values`` is copied into the row buffer, whose padding is
+        never written, and its rows are rfft'd; in 2-D they are fft'd along
+        axis 0 at length P_0, multiplied by khat and ifft'd, and only the
+        first n_0 rows are irfft'd. The result is a fresh array."""
+        pad_shape, khat, rows = self.plan
+        rows[..., :values.shape[-1]] = values
+        spec = sp_fft.rfft(rows)
+        if values.ndim == 2:
+            spec = sp_fft.fft(spec, n=pad_shape[0], axis=0, overwrite_x=True)
+            spec *= khat
+            spec = sp_fft.ifft(spec, axis=0, overwrite_x=True)[:values.shape[0]]
+        else:
+            spec *= khat
+        return sp_fft.irfft(spec, n=pad_shape[-1])[..., :values.shape[-1]]
 
     @cached_property
     def kappa(self):

@@ -117,12 +117,15 @@ class _ZeroExtendStepper:
         if scheme == "euler":
             _check_euler_dt(rho, dt)
         self.decay = np.exp(-dt / rho)
+        self.gain = 1.0 - self.decay
 
     def step(self, values):
         conv = self.op.convolve(values)
         if self.scheme == "euler":
             return values + self.dt * (conv - values) / self.rho
-        return self.decay * values + (1.0 - self.decay) * conv
+        out = self.gain * conv
+        out += self.decay * values
+        return out
 
 
 class _MaskedStepper:

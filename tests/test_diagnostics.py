@@ -298,6 +298,18 @@ class TestDissipationBudget:
                    for st in (len(traj.diagnostics) // 2, len(traj.diagnostics) // 4, 0)]
         assert budgets[0] <= budgets[1] <= budgets[2]
 
+    @pytest.mark.parametrize("where", ["negative", "past-end"])
+    def test_start_outside_snapshots_raises(self, mask_trajectory, where):
+        traj = mask_trajectory(0.1, t_end=5.0)
+        n = len(traj.snapshots)
+        start = -1 if where == "negative" else n
+        with pytest.raises(GridError, match=rf"start.*\b{n} snapshots"):
+            dissipation_budget(traj, start=start)
+
+    def test_last_snapshot_window_is_zero(self, mask_trajectory):
+        traj = mask_trajectory(0.1, t_end=5.0)
+        assert dissipation_budget(traj, start=len(traj.snapshots) - 1) == 0.0
+
 
 class TestRecordInvariants:
     def test_record_fields_consistent(self, mask_trajectory):

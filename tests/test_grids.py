@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import special
 
 from isoflow import (DomainMask, Field, Grid, GridError, Kernel, Medium, convolve_direct,
@@ -199,6 +200,36 @@ def test_mask_must_live_on_the_field_grid(call, case):
         call(Field.zeros(g), s, boundary, mask)
 
 
+_FAMILIES = ("gaussian", "laplace", "uniform-ball", "tabulated")
+
+
+def _grid_and_stencil(dim, M, family, K):
+    """Unit-spacing grid of M nodes per axis and a ``family`` stencil of
+    halfwidth K (K <= M - 2 for the Gaussian and Laplace families)."""
+    g = Grid(dim, (M - 1) / 2.0, M)
+    tol = 1e-10
+    if family == "uniform-ball":
+        kernel = Kernel.uniform_ball(K, dim=dim)
+    elif family == "tabulated":
+        # the tent J(r) = c (1 - r/K), with unit mass
+        c = 1.0 / K if dim == 1 else 3.0 / (math.pi * K * K)
+        kernel = Kernel.tabulated([0.0, float(K)], [c, 0.0], dim=dim)
+    else:
+        # truncation radius K + 1/2, which floors to halfwidth K
+        unit = getattr(Kernel, family)(1.0, dim=dim).truncation_radius(tol)
+        kernel = getattr(Kernel, family)((K + 0.5) / unit, dim=dim)
+    s = discretize(kernel, g.spacing, trunc_tol=tol)
+    assert s.halfwidths.tolist() == [K] * dim
+    return g, s
+
+
+def _assert_fft_matches_direct(g, s, seed):
+    f = Field(g, np.random.default_rng(seed).standard_normal(g.shape))
+    d = convolve_direct(f, s).values
+    ff = convolve_fft(f, s).values
+    assert np.max(np.abs(d - ff)) <= 1e-10 * np.max(np.abs(d))
+
+
 class TestConvolveFFT:
     @pytest.mark.parametrize("kernel", [Kernel.gaussian(1.0), Kernel.laplace(0.4),
                                         Kernel.uniform_ball(1.0)])
@@ -238,6 +269,45 @@ class TestConvolveFFT:
         out = convolve_fft(Field.constant(g, 1.5), s)
         hw = int(s.halfwidths[0])
         np.testing.assert_allclose(out.values[hw:-hw], 1.5, rtol=1e-12)
+
+    @pytest.mark.parametrize("family", ["uniform-ball", "tabulated"])
+    @pytest.mark.parametrize("dim, M, K", [(1, 3, 2), (1, 41, 4), (1, 41, 40),
+                                           (2, 21, 4), (2, 41, 19), (2, 41, 40)])
+    def test_padding_with_no_spare_node(self, dim, M, K, family):
+        # n + K is 5-smooth, so the padding is exactly the n + K that no
+        # wrapped source can reach: one node less would put K onto the data
+        g, s = _grid_and_stencil(dim, M, family, K)
+        assert _Operator(g, s).plan[0] == (M + K,) * dim
+        _assert_fft_matches_direct(g, s, seed=K)
+
+    @given(case=st.tuples(st.sampled_from([1, 2]), st.integers(1, 20),
+                          st.sampled_from(_FAMILIES), st.integers(0, 2 ** 32 - 1),
+                          st.floats(0.0, 1.0)))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_fft_matches_direct_property(self, case):
+        dim, half_m, family, seed, reach = case
+        M = 2 * half_m + 1
+        # a Gaussian or Laplace reach is a root-finder result, so it stops
+        # one node short of the grid-size limit that the other two hit
+        widest = M - 1 if family in ("uniform-ball", "tabulated") else M - 2
+        g, s = _grid_and_stencil(dim, M, family, max(1, round(reach * widest)))
+        _assert_fft_matches_direct(g, s, seed)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_row_buffer_reuse_is_invisible(self, dim):
+        g, s = _grid_and_stencil(dim, 21, "gaussian", 6)
+        op = _Operator(g, s)
+        rng = np.random.default_rng(dim)
+        a, b = rng.standard_normal(g.shape), 1e3 * rng.standard_normal(g.shape)
+        a_before = a.copy()
+        first = op.convolve(a).copy()
+        op.convolve(b)
+        out = op.convolve(a)
+        np.testing.assert_array_equal(out, first)
+        np.testing.assert_array_equal(a, a_before)
+        assert not np.shares_memory(out, op.plan[2])
+        out[...] = np.nan
+        np.testing.assert_array_equal(op.convolve(a), first)
 
 
 class TestIntegrate:

@@ -14,7 +14,7 @@ from isoflow import (DomainMask, Field, Grid, Kernel, Medium, MediumError, Numer
 from isoflow import diagnostics, grids, solver
 from isoflow.diagnostics import mass
 from isoflow.grids import _Operator, masked_exchange_matrix
-from isoflow.solver import _MaskedStepper
+from isoflow.solver import _MaskedStepper, _ZeroExtendStepper
 
 
 @pytest.fixture
@@ -132,6 +132,18 @@ class TestStepExponential:
             a = step_exponential(Field(g, lo), m, s, 3.0, boundary=boundary, mask=msk)
             b = step_exponential(Field(g, hi), m, s, 3.0, boundary=boundary, mask=msk)
             assert np.all(b.values >= a.values - 1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_extend_step_is_the_decay_formula_bitwise(self, dim):
+        g = Grid(dim, 4.0, 41)
+        s = discretize(Kernel.gaussian(0.7, dim=dim), g.spacing, trunc_tol=1e-8)
+        rho = Medium.power_decay(1.0, 2.0).sample(g)
+        u = np.random.default_rng(dim).standard_normal(g.shape)
+        op = _Operator(g, s)
+        stepper = _ZeroExtendStepper(op, rho, "exponential", 0.3)
+        decay = np.exp(-0.3 / rho)
+        np.testing.assert_array_equal(stepper.step(u),
+                                      decay * u + (1.0 - decay) * op.convolve(u))
 
 
 class TestRun:
