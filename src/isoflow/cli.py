@@ -1,7 +1,8 @@
 """Command line interface: run scenarios, sweep parameters, verify suites.
 
 Exit codes: 0 success, 2 config error, 3 numerical abort, 4 verification
-failure. ISOFLOW_THREADS caps sweep workers.
+failure. ISOFLOW_THREADS caps the worker processes of ``isoflow sweep``; it
+does not touch the masked stepper's one helper thread.
 """
 
 import argparse

@@ -2,6 +2,7 @@
 steps, the fixed-point oracle, and monotone approximation drivers."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -143,8 +144,8 @@ class _MaskedStepper:
     the stencil's, applied by one BLAS dsbmv a step (``"band"``); in 2-D as
     a CSR matrix, the run operator's pair matrix weighted by min(r) (one
     sparse matvec a step, ``"csr"``). Above the cap nothing per pair is
-    stored and each step sweeps half the offsets as flat shifts of the grid
-    (``"sweep"``, see _exchange).
+    stored and each step sweeps the positive offsets as flat shifts of the
+    grid, split in two fixed halves on two threads (``"sweep"``, see _exchange).
     """
 
     def __init__(self, op, rho, scheme, dt, nnz_cap=None):
@@ -195,21 +196,16 @@ class _MaskedStepper:
         n = math.prod(self.padded)
         self.r_eff = np.zeros(n)
         self.r_eff.reshape(self.padded)[self.region] = r_eff
-        # scratch for _exchange; _u stays zero in the padding
-        self._u, self._out = np.zeros(n), np.empty(n)
-        self._scratch = (np.empty(n), np.empty(n))
+        # _u stays zero in the padding; per half of the shifts: out, 2 scratch
+        self._u = np.zeros(n)
+        self._halves = tuple((self.shifts[i::2], self.weights[i::2], np.empty(n),
+                              np.empty(n), np.empty(n)) for i in (0, 1))
 
-    def _exchange(self, state):
-        """The pair exchange of the exponential step, swept offset by offset.
-
-        Each +/- offset pair is visited once, its flux added at one end and
-        subtracted at the other: the exchange is antisymmetric, so sum(rho u)
-        is conserved to rounding.
-        """
-        u, out, r, (f_all, d_all) = self._u, self._out, self.r_eff, self._scratch
-        u.reshape(self.padded)[self.region] = state
+    def _sweep(self, shifts, weights, out, f_all, d_all):
+        """Sum the fluxes of ``shifts`` into ``out``; reads only _u and r_eff."""
+        u, r = self._u, self.r_eff
         out.fill(0.0)
-        for s, w in zip(self.shifts, self.weights):
+        for s, w in zip(shifts, weights):
             m = u.size - s
             f, d = f_all[:m], d_all[:m]
             np.minimum(r[:m], r[s:], out=f)
@@ -218,6 +214,24 @@ class _MaskedStepper:
             f *= w
             out[:m] += f
             out[s:] -= f
+        return out
+
+    def _exchange(self, state):
+        """The pair exchange of the exponential step, swept offset by offset.
+
+        Each +/- offset pair is visited once, its flux added at one end and
+        subtracted at the other: the exchange is antisymmetric, so sum(rho u)
+        is conserved to rounding. A helper thread sweeps the second of two
+        fixed interleaved halves of the shifts while this one sweeps the
+        first (ufuncs release the GIL). The result is always first + second,
+        each summed in one order, so its bits depend on neither the CPU count
+        nor thread timing; the helper is joined here and its error raised.
+        """
+        self._u.reshape(self.padded)[self.region] = state
+        with ThreadPoolExecutor(1) as helper:
+            second = helper.submit(self._sweep, *self._halves[1])
+            out = self._sweep(*self._halves[0])
+            out += second.result()
         return out.reshape(self.padded)[self.region]
 
     def step(self, state):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -484,6 +485,98 @@ class TestMaskedSweep:
             assert _MaskedStepper(op, rho, "exponential", 0.1).path == path
         with pytest.raises(grids.GridError, match="too large"):
             masked_exchange_matrix(s, op.mask)
+
+    def test_sweep_is_its_two_halves_summed_in_order(self, sweep_case):
+        g, s, m, mask, u0 = sweep_case
+        sweep = _MaskedStepper(_Operator(g, s, mask), m.sample(g), "exponential", 0.7,
+                               nnz_cap=0)
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        first = sweep._exchange(u0).copy()
+        sys.setswitchinterval(1e-6)   # hand the GIL over as often as it can go
+        try:
+            for _ in range(5):
+                assert np.array_equal(sweep._exchange(u0), first)
+        finally:
+            sys.setswitchinterval(interval)
+        # _u still holds u0: sweep both halves here, one after the other
+        out0 = sweep._sweep(*sweep._halves[0]).copy()
+        want = out0 + sweep._sweep(*sweep._halves[1])
+        assert np.array_equal(want.reshape(sweep.padded)[sweep.region], first)
+        sweep.step(u0)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("offsets, n_shifts", [
+        ([(-1,), (0,), (1,)], 1),
+        ([(0, -2), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (0, 2)], 3),
+    ], ids=["1d-one-shift", "2d-odd-shifts"])
+    def test_sweep_with_an_empty_or_uneven_half(self, offsets, n_shifts):
+        offsets = np.array(offsets)
+        dim = offsets.shape[1]
+        g = Grid(dim, 4.0, 41)
+        weights = 3.0 - np.abs(offsets).sum(axis=1)
+        s = Stencil(offsets, weights / weights.sum(), g.spacing, 2 * g.spacing, True, dim)
+        m = Medium.power_decay(1.0, 2.0, dim=dim)
+        mask = DomainMask(g, 3.0)
+        op, rho = _Operator(g, s, mask), m.sample(g)
+        u0 = np.random.default_rng(5).random(g.shape) * mask.indicator()
+        stored = _MaskedStepper(op, rho, "exponential", 0.7)
+        sweep = _MaskedStepper(op, rho, "exponential", 0.7, nnz_cap=0)
+        assert len(sweep.shifts) == n_shifts
+        assert [len(h[0]) for h in sweep._halves] == [(n_shifts + 1) // 2, n_shifts // 2]
+        want = stored.step(u0)
+        assert np.max(np.abs(sweep.step(u0) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_helper_half_failure_is_raised(self, sweep_case, monkeypatch):
+        g, s, m, mask, u0 = sweep_case
+        sweep = _MaskedStepper(_Operator(g, s, mask), m.sample(g), "exponential", 0.7,
+                               nnz_cap=0)
+        real = _MaskedStepper._sweep
+
+        def failing(self, shifts, weights, out, *scratch):
+            if out is self._halves[1][2]:
+                raise FloatingPointError("second half failed")
+            return real(self, shifts, weights, out, *scratch)
+
+        monkeypatch.setattr(_MaskedStepper, "_sweep", failing)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="second half failed"):
+            sweep.step(u0)
+        assert threading.active_count() == threads
+
+
+_CPU_COUNT_RUN = """
+import os, sys
+import numpy as np
+from isoflow import Field, Grid, Kernel, Medium, SolverConfig, discretize, grids, run
+from isoflow.solver import _MaskedStepper
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    assert len(os.sched_getaffinity(0)) == 1
+grids.PAIR_CAP = 0
+calls = []
+exchange = _MaskedStepper._exchange
+_MaskedStepper._exchange = lambda self, state: calls.append(1) or exchange(self, state)
+g = Grid(2, 4.0, 41)
+s = discretize(Kernel.gaussian(0.6, dim=2), g.spacing, trunc_tol=1e-8)
+u0 = Field(g, np.random.default_rng(2).random(g.shape))
+cfg = SolverConfig(scheme="exponential", dt=0.3, t_end=3.0, boundary="mask",
+                   mask_radius=3.5, snapshot_every=10 ** 9)
+final = run(u0, Medium.power_decay(1.0, 2.0, dim=2), s, cfg).final()
+sys.stdout.write(f"{len(calls)} " + final.values.tobytes().hex())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_masked_sweep_run_is_bitwise_independent_of_the_cpu_count():
+    # the sweep's helper thread shares one CPU with the caller when pinned
+    src = os.path.dirname(os.path.dirname(os.path.abspath(isoflow.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    finals = [subprocess.run([sys.executable, "-c", _CPU_COUNT_RUN, how], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120).stdout for how in ("pinned", "free")]
+    assert finals[0].startswith("10 ")
+    assert len(finals[0]) == 3 + 41 * 41 * 16
+    assert finals[0] == finals[1]
 
 
 _BLAS_THREADS_RUN = """
