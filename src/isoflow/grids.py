@@ -254,18 +254,22 @@ class _Operator:
         return _fft_plan(self.grid.shape, self.stencil)
 
     def convolve(self, values):
-        """Zero-extend sum w_k values(x - k) by real FFTs that skip the zero
-        padding: ``values`` is copied into the row buffer, whose padding is
-        never written, and its rows are rfft'd; in 2-D they are fft'd along
-        axis 0 at length P_0, multiplied by khat and ifft'd, and only the
-        first n_0 rows are irfft'd. The result is a fresh array."""
+        """Zero-extend sum w_k values(x - k) over the last grid.dim axes, each
+        field of a leading batch bit for bit as if alone, by real FFTs that
+        skip the zero padding: ``values`` is copied into the row buffer (a
+        batch into its own), whose padding is never written, and its rows are
+        rfft'd; in 2-D they are fft'd along axis -2 at length P_0, multiplied
+        by khat and ifft'd, and only the first n_0 rows are irfft'd. The
+        result is a fresh array."""
         pad_shape, khat, rows = self.plan
+        if values.ndim > self.grid.dim:
+            rows = np.zeros(values.shape[:-1] + pad_shape[-1:])
         rows[..., :values.shape[-1]] = values
         spec = sp_fft.rfft(rows)
-        if values.ndim == 2:
-            spec = sp_fft.fft(spec, n=pad_shape[0], axis=0, overwrite_x=True)
+        if self.grid.dim == 2:
+            spec = sp_fft.fft(spec, n=pad_shape[0], axis=-2, overwrite_x=True)
             spec *= khat
-            spec = sp_fft.ifft(spec, axis=0, overwrite_x=True)[:values.shape[0]]
+            spec = sp_fft.ifft(spec, axis=-2, overwrite_x=True)[..., :values.shape[-2], :]
         else:
             spec *= khat
         return sp_fft.irfft(spec, n=pad_shape[-1])[..., :values.shape[-1]]

@@ -166,7 +166,8 @@ class TestConvolveDirect:
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_pair_matrix_with_self_pairs_is_direct_convolution(dim):
-    # picard_solve's dense J*: the zero-extend pair matrix plus the self weight
+    # the pair matrix behind the CSR stepper and masked_exchange_matrix: with
+    # the self weight on the diagonal it is J* under zero-extend
     g = Grid(1, 5.0, 81) if dim == 1 else Grid(2, 2.0, 21)
     s = discretize(Kernel.gaussian(0.5, dim=dim), g.spacing, trunc_tol=1e-8)
     u = Field(g, np.random.default_rng(9).standard_normal(g.shape))
@@ -308,6 +309,18 @@ class TestConvolveFFT:
         assert not np.shares_memory(out, op.plan[2])
         out[...] = np.nan
         np.testing.assert_array_equal(op.convolve(a), first)
+
+    @pytest.mark.parametrize("dim, M", [(1, 41), (1, 2001), (2, 41), (2, 201)])
+    def test_batch_is_stacked_single_fields_bitwise(self, dim, M):
+        # leading axes are a batch, each field convolved as if alone
+        g = Grid(dim, 4.0, M)
+        s = discretize(Kernel.gaussian(0.6, dim=dim), g.spacing, trunc_tol=1e-8)
+        op = _Operator(g, s)
+        batch = np.random.default_rng(M).standard_normal((2, 3) + g.shape)
+        out = op.convolve(batch)
+        assert out.shape == batch.shape
+        for i in np.ndindex(2, 3):
+            np.testing.assert_array_equal(out[i], op.convolve(batch[i]))
 
 
 class TestIntegrate:

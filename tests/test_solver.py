@@ -63,6 +63,29 @@ class TestStepEuler:
         g, s, m = setup_1d
         assert stability_dt(m, g) == pytest.approx(1.0 / 101.0)
 
+    @pytest.mark.parametrize("boundary", ["zero-extend", "mask"])
+    @pytest.mark.parametrize("dt", [-0.5, math.nan], ids=["negative", "nan"])
+    def test_dt_outside_the_stability_interval_rejected(self, setup_1d, dt, boundary):
+        # dt=-0.5 would run a backward step that takes a bump below zero
+        g, s, m = setup_1d
+        mask = DomainMask(g, 10.0) if boundary == "mask" else None
+        u = Field.from_function(g, lambda x: np.exp(-x * x))
+        with pytest.raises(SolverError, match="stability_dt"):
+            step_euler(u, m, s, dt, boundary=boundary, mask=mask)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_zero_extend_step_is_the_forward_difference(self, dim):
+        # the stepper's gain J*u + decay u with decay = 1 - dt/rho
+        g = Grid(dim, 4.0, 41)
+        s = discretize(Kernel.gaussian(0.7, dim=dim), g.spacing, trunc_tol=1e-8)
+        rho = Medium.power_decay(1.0, 2.0).sample(g)
+        u = np.random.default_rng(dim).standard_normal(g.shape)
+        op = _Operator(g, s)
+        dt = 0.9 * float(rho.min())
+        want = u + dt * (op.convolve(u) - u) / rho
+        got = _ZeroExtendStepper(op, rho, "euler", dt).step(u)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(u))
+
 
 class TestStepExponential:
     def test_constant_fixed_point(self, setup_1d):
@@ -89,6 +112,15 @@ class TestStepExponential:
         out = step_exponential(u, m, s, dt, boundary=boundary, mask=mask)
         assert out.min() >= 0.0
         assert out.max() <= u.max() * (1 + 1e-12)
+
+    @pytest.mark.parametrize("boundary", ["zero-extend", "mask"])
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.inf, math.nan],
+                             ids=["zero", "negative", "inf", "nan"])
+    def test_dt_must_be_positive_and_finite(self, setup_1d, dt, boundary):
+        g, s, m = setup_1d
+        mask = DomainMask(g, 10.0) if boundary == "mask" else None
+        with pytest.raises(SolverError, match="positive and finite"):
+            step_exponential(Field.constant(g, 1.0), m, s, dt, boundary=boundary, mask=mask)
 
     def test_mask_range_bound_any_dt(self, setup_1d):
         g, s, m = setup_1d
@@ -176,13 +208,16 @@ class TestRun:
         with pytest.raises(SolverError, match="dist_target"):
             run(Field.constant(g, 1.0), m, s, cfg, Probes(dist_target="bogus"))
 
-    @pytest.mark.parametrize("boundary", ["zero-extend", "mask"])
+    @pytest.mark.parametrize("scheme, boundary", [("exponential", "zero-extend"),
+                                                  ("exponential", "mask"),
+                                                  ("picard-oracle", "zero-extend")],
+                             ids=["zero-extend", "mask", "picard-oracle"])
     @pytest.mark.parametrize("t_end, every", [(1.9, 19), (1.9, 1), (1.95, 1)],
                              ids=["2-records", "20-records", "remainder"])
-    def test_fft_plan_built_once_per_run(self, setup_1d, monkeypatch, boundary, t_end,
-                                         every):
+    def test_fft_plan_built_once_per_run(self, setup_1d, monkeypatch, scheme, boundary,
+                                         t_end, every):
         # and no pair matrix: a 1-D mask run stores its exchange as a band,
-        # remainder step or not
+        # remainder step or not, and the Picard oracle applies J* by the FFT
         g, s, m = setup_1d
         calls = {"_fft_plan": 0, "_pair_matrix": 0}
 
@@ -198,7 +233,7 @@ class TestRun:
                 if hasattr(mod, name):
                     monkeypatch.setattr(mod, name, wrapped)
         u0 = Field.from_function(g, lambda x: np.exp(-x * x))
-        cfg = SolverConfig(scheme="exponential", dt=0.1, t_end=t_end, boundary=boundary,
+        cfg = SolverConfig(scheme=scheme, dt=0.1, t_end=t_end, boundary=boundary,
                            mask_radius=10.0, snapshot_every=every)
         run(u0, m, s, cfg)
         assert calls == {"_fft_plan": 1, "_pair_matrix": 0}
@@ -680,12 +715,48 @@ class TestPicard:
         with pytest.raises(SolverError, match="window"):
             picard_solve(Field.zeros(g), m, s, 1.0, window=0.2)
 
-    def test_node_cap(self):
+    def test_no_node_cap(self):
+        # 20,001 nodes: a dense J* would take 3.2 GB
         g = Grid(1, 5.0, 20001)
         s = discretize(Kernel.gaussian(1.0), g.spacing, trunc_tol=1e-6)
         m = Medium.constant(1.0)
-        with pytest.raises(SolverError, match="10\\^4|cap"):
-            picard_solve(Field.zeros(g), m, s, 0.1)
+        u0 = Field.from_function(g, lambda x: np.exp(-x * x))
+        final, report = picard_solve(u0, m, s, 0.1, dt=1e-3)
+        assert len(report.windows) == 1
+        cfg = SolverConfig(scheme="exponential", dt=1e-3, t_end=0.1, snapshot_every=10 ** 9)
+        ref = run(u0, m, s, cfg).final()
+        assert np.max(np.abs(final.values - ref.values)) <= 1e-3
+
+    @pytest.mark.parametrize("dt, t_end, tol", [
+        (1e-3, math.inf, 1e-10), (1e-3, math.nan, 1e-10), (1e-3, -1.0, 1e-10),
+        (-1e-3, 0.2, 1e-10), (math.nan, 0.2, 1e-10), (0.0, 0.2, 1e-10),
+        (1e-3, 0.2, math.nan)],
+        ids=["t_end-inf", "t_end-nan", "t_end-negative", "dt-negative", "dt-nan", "dt-zero",
+             "tol-nan"])
+    def test_numbers_checked_before_any_window(self, dt, t_end, tol):
+        # unchecked, t_end=inf loops forever, t_end=nan or -1 returns u0 with
+        # no window, a negative dt runs one slice per window, and dt=nan or 0
+        # raises an error that is not SolverError
+        g = Grid(1, 5.0, 41)
+        s = discretize(Kernel.gaussian(1.0), g.spacing, trunc_tol=1e-8)
+        m = floor(Medium.power_decay(1.0, 2.0), 0.3)
+        with pytest.raises(SolverError, match="dt|t_end|picard_tol"):
+            picard_solve(Field.constant(g, 1.0), m, s, t_end, tol=tol, dt=dt)
+
+    def test_2d_agrees_with_exponential_run(self):
+        # 1,681 nodes: the dense J* would take 22.6 MB
+        g = Grid(2, 4.0, 41)
+        s = discretize(Kernel.gaussian(0.6, dim=2), g.spacing, trunc_tol=1e-8)
+        m = floor(Medium.power_decay(1.0, 2.0, dim=2), 0.3)
+        u0 = Field.from_function(g, lambda x, y: np.exp(-(x * x + y * y)))
+        gaps = []
+        for dt in (1e-3, 5e-4):
+            final, report = picard_solve(u0, m, s, 0.5, tol=1e-10, dt=dt)
+            assert 0.0 < report.max_ratio() <= report.max_bound() < 1.0
+            cfg = SolverConfig(scheme="exponential", dt=dt, t_end=0.5,
+                               snapshot_every=10 ** 9)
+            gaps.append(np.max(np.abs(final.values - run(u0, m, s, cfg).final().values)))
+        assert gaps[1] < gaps[0] <= 1e-3
 
 
 class TestMonotoneApprox:
