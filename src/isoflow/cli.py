@@ -11,9 +11,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .scenario import (ConfigError, parse_scenario, registry, run_scenario,
-                       with_param)
+                       scenario_inputs, with_param)
 from .solver import NumericalAbort, SolverError
-from .verify import format_checks, run_suite, suite_names
+from .verify import (CheckResult, format_checks, lyapunov_refinement,
+                     refinement_verdict, run_suite, suite_names)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -70,11 +71,13 @@ def _cmd_sweep(args):
 
 
 def _cmd_verify(args):
-    if args.suite == "lyapunov" and args.scenario:
-        return _verify_lyapunov_refinement(args)
     if args.suite not in suite_names():
         raise ConfigError(f"unknown verify suite {args.suite!r}; "
                           f"known: {', '.join(suite_names())}")
+    if args.scenario or args.out:
+        if args.suite != "lyapunov" or not args.scenario:
+            raise ConfigError("only `verify lyapunov <scenario>` takes a scenario and --out")
+        return _verify_lyapunov_refinement(args)
     results = run_suite(args.suite)
     for line in format_checks(results):
         print(line)
@@ -83,33 +86,22 @@ def _cmd_verify(args):
 
 def _verify_lyapunov_refinement(args):
     """Residual-vs-refinement table for the decay identities of a scenario."""
-    from .scenario import build_initial, build_stencil, validate_scenario
-    from .verify import lyapunov_refinement
-
     sc = _load_scenario(args.scenario)
-    grid, _, medium = validate_scenario(sc)
-    stencil = build_stencil(sc.kernel, grid)
-    u0 = build_initial(sc.initial, grid)
+    u0, medium, stencil = scenario_inputs(sc)
+    levels = lyapunov_refinement(u0, medium, stencil, sc.solver, sc.probes)
+    worst, falls = refinement_verdict(levels)
     out_dir = args.out or sc.outputs.directory
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "lyapunov_refinement.csv")
     rows = ["level,dt,delta,resid_decay,resid_energy"]
-    ok = True
-    prev = None
-    for level, (cfg, _, rep) in enumerate(
-            lyapunov_refinement(u0, medium, stencil, sc.solver, sc.probes)):
-        delta = cfg.dt * cfg.snapshot_every
-        rows.append(f"{level},{cfg.dt!r},{delta!r},"
+    for level, (cfg, _, rep) in enumerate(levels):
+        rows.append(f"{level},{cfg.dt!r},{cfg.dt * cfg.snapshot_every!r},"
                     f"{rep.max_resid_decay!r},{rep.max_resid_energy!r}")
-        worst = max(rep.max_resid_decay, rep.max_resid_energy)
-        if prev is not None and worst >= prev:
-            ok = False
-        prev = worst
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
     print(f"wrote {path}")
-    print(f"CHECK lyapunov.refinement {'PASS' if ok else 'FAIL'} {prev:.3e}")
-    return EXIT_OK if ok else EXIT_VERIFY
+    print(format_checks([CheckResult("lyapunov.refinement", falls, worst[-1])])[0])
+    return EXIT_OK if falls else EXIT_VERIFY
 
 
 def _cmd_list(_args):

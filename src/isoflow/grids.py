@@ -309,15 +309,10 @@ def box_quad_weights(grid):
     return np.outer(w_axis, w_axis)
 
 
-def integrate(f, weight=None):
-    """Quadrature of f (optionally times ``weight``) over the grid box."""
-    vals = f.values
-    if weight is not None:
-        if weight.grid != f.grid:
-            raise GridError("integrate: weight lives on a different grid")
-        vals = vals * weight.values
+def integrate(f):
+    """Quadrature of f over the grid box."""
     h = f.grid.spacing
-    return float(h ** f.grid.dim * np.sum(vals * box_quad_weights(f.grid)))
+    return float(h ** f.grid.dim * np.sum(f.values * box_quad_weights(f.grid)))
 
 
 def ball_quad_weights(grid, radius):

@@ -497,14 +497,19 @@ def _csv_text(sc, traj, medium):
     return "\n".join(lines) + "\n"
 
 
+def scenario_inputs(sc):
+    """Validate a scenario and build what it runs: (u0, medium, stencil)."""
+    grid, _, medium = validate_scenario(sc)
+    stencil = build_stencil(sc.kernel, grid)
+    return build_initial(sc.initial, grid), medium, stencil
+
+
 def run_scenario(sc, out_dir=None):
     """Execute a scenario and emit its CSV (and snapshots, if requested).
 
     Returns (trajectory, csv_path).
     """
-    grid, _, medium = validate_scenario(sc)
-    stencil = build_stencil(sc.kernel, grid)
-    u0 = build_initial(sc.initial, grid)
+    u0, medium, stencil = scenario_inputs(sc)
     traj = run(u0, medium, stencil, sc.solver, sc.probes)
 
     directory = out_dir or sc.outputs.directory

@@ -53,6 +53,8 @@ class SolverConfig:
                 raise SolverError(f"{name} must be finite, got {value!r}")
         if self.dt <= 0 or self.t_end < 0:
             raise SolverError("dt must be positive and t_end nonnegative")
+        if self.picard_tol <= 0:
+            raise SolverError(f"picard_tol must be positive, got {self.picard_tol!r}")
         if self.snapshot_every < 1:
             raise SolverError("snapshot_every must be at least 1")
         if self.boundary == "mask" and self.mask_radius is None:

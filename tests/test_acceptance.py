@@ -12,13 +12,12 @@ from scipy import integrate as sp_integrate
 
 import isoflow as iso
 from isoflow import (DomainMask, Field, Grid, Kernel, Medium,
-                     SolverConfig, comparison_harness, discretize, floor,
-                     monotone_approx_run, picard_solve,
-                     quadratic_growth_constant, quadratic_identity, run,
-                     steady_state_nullspace, stencil_second_moment,
-                     supersolution_residual, trust_radius)
+                     SolverConfig, discretize, floor, monotone_approx_run,
+                     quadratic_identity, run, steady_state_nullspace,
+                     stencil_second_moment, trust_radius)
 from isoflow.diagnostics import dissipation_budget
-from isoflow.verify import lyapunov_refinement
+from isoflow.verify import (comparison_trials, f_rise, lyapunov_refinement,
+                            mass_drift, picard_gap, supersolution_margins)
 
 
 def report(num, name, passed, metric):
@@ -43,8 +42,7 @@ def test_criterion_1_conservation():
     start = time.perf_counter()
     traj = run(u0, medium, stencil, cfg)
     elapsed = time.perf_counter() - start
-    masses = np.array([r.mass for r in traj.diagnostics])
-    drift = float(np.max(np.abs(masses - masses[0])) / abs(masses[0]))
+    drift = mass_drift(traj)
     assert len(traj.diagnostics) == 101  # 1e4 steps, every 100
     report(1, "conservation", drift <= 1e-11 and elapsed <= 10.0,
            f"mass drift {drift:.2e}, runtime {elapsed:.2f}s")
@@ -115,8 +113,8 @@ def test_criterion_4_lyapunov():
     levels = lyapunov_refinement(u0, medium, stencil, cfg, levels=3)
     resid_decay, resid_energy = [], []
     for _, traj, rep in levels:
-        F = np.array([r.lyapunov_F for r in traj.diagnostics])
-        assert np.max(np.diff(F)) <= 1e-12 * F[0], "F must be nonincreasing"
+        rise, F0 = f_rise(traj)
+        assert rise <= 1e-12 * F0, "F must be nonincreasing"
         resid_decay.append(rep.max_resid_decay)
         resid_energy.append(rep.max_resid_energy)
     dts = [level_cfg.dt for level_cfg, _, _ in levels]
@@ -143,16 +141,7 @@ def test_criterion_5_comparison():
     medium = Medium.power_decay(1.0, 2.0)
     cfg = SolverConfig(scheme="exponential", dt=0.25, t_end=4.0,
                        boundary="mask", mask_radius=10.0, snapshot_every=1)
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    all_ok = True
-    for _ in range(100):
-        a = np.abs(rng.standard_normal(grid.shape))
-        b = np.abs(rng.standard_normal(grid.shape))
-        rep = comparison_harness(Field(grid, a), Field(grid, a + b),
-                                 medium, stencil, cfg)
-        worst = max(worst, rep.max_violation / rep.scale)
-        all_ok = all_ok and rep.ordered and rep.bounds_ok
+    worst, all_ok = comparison_trials(grid, medium, stencil, cfg, pairs=100, seed=42)
     report(5, "comparison", all_ok and worst <= 1e-12,
            f"100 ordered pairs, worst violation {worst:.2e} <= 1e-12, "
            f"range bounds held every node/step")
@@ -196,23 +185,14 @@ def test_criterion_6_quadratic_identity():
 def test_criterion_7_supersolution():
     grid = Grid(1, 12.0, 241)
     stencil = discretize(Kernel.gaussian(1.0), grid.spacing)
-    vdisc = stencil_second_moment(stencil)
-    mins, sharp = {}, {}
-    for gamma in (0.0, 1.0, 2.0):
-        medium = Medium.power_decay(1.0, gamma)
-        eta2 = quadratic_growth_constant(medium)
-        lam = vdisc / eta2
-        mins[gamma] = supersolution_residual(1.0, lam, medium, stencil,
-                                             grid, 1.0).min()
-        sharp[gamma] = supersolution_residual(1.0, 0.5 * lam, medium, stencil,
-                                              grid, 0.0).min()
-    nonneg = all(v >= -1e-10 for v in mins.values())
-    negative = all(v < 0.0 for v in sharp.values())
+    margins = supersolution_margins(grid, stencil, (0.0, 1.0, 2.0))
+    nonneg = all(at >= -1e-10 for at, _ in margins.values())
+    negative = all(half < 0.0 for _, half in margins.values())
     report(7, "supersolution", nonneg and negative,
            "min residual at threshold "
-           + ", ".join(f"g={g:g}:{v:.1e}" for g, v in mins.items())
+           + ", ".join(f"g={g:g}:{at:.1e}" for g, (at, _) in margins.items())
            + "; half-threshold goes negative "
-           + ", ".join(f"{v:.2f}" for v in sharp.values()))
+           + ", ".join(f"{half:.2f}" for _, half in margins.values()))
 
 
 def test_criterion_8_steady_states():
@@ -254,11 +234,8 @@ def test_criterion_9_picard_oracle():
     diffs = []
     worst_ratio, bound = 0.0, 0.0
     for dt in (1e-3, 5e-4):
-        final, rep = picard_solve(u0, medium, stencil, 1.0, tol=1e-10, dt=dt)
-        cfg = SolverConfig(scheme="exponential", dt=dt, t_end=1.0,
-                           snapshot_every=10 ** 9)
-        ref = run(u0, medium, stencil, cfg).final()
-        diffs.append(float(np.max(np.abs(final.values - ref.values))))
+        gap, rep = picard_gap(u0, medium, stencil, dt)
+        diffs.append(gap)
         worst_ratio = max(worst_ratio, rep.max_ratio())
         bound = rep.max_bound()
     agree = diffs[0] <= 1e-3 and diffs[1] < diffs[0]

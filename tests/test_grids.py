@@ -346,12 +346,6 @@ class TestIntegrate:
         f = Field.from_function(g, lambda x: x ** 3)
         assert integrate(f) == pytest.approx(0.0, abs=1e-13)
 
-    def test_weight_grid_mismatch(self):
-        f = Field.zeros(Grid(1, 1.0, 11))
-        w = Field.zeros(Grid(1, 1.0, 13))
-        with pytest.raises(GridError):
-            integrate(f, weight=w)
-
     def test_constant_exact_2d(self):
         g = Grid(2, 1.0, 41)
         assert integrate(Field.constant(g, 2.0)) == pytest.approx(8.0, rel=1e-13)

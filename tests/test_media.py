@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from isoflow import (Field, Grid, Medium, MediumError, classify, default_alpha,
+from isoflow import (Field, Grid, Medium, MediumError, Probes, classify, default_alpha,
                      floor, quadratic_growth_constant, weighted_mean)
+from isoflow.diagnostics import _rho_weights
+from isoflow.solver import _resolve_target
 
 
 class TestEval:
@@ -155,6 +157,15 @@ class TestWeightedMean:
         E1, _ = weighted_mean(m, u)
         E2, _ = weighted_mean(m, Field(g, 3.0 * u.values + 2.0))
         assert E2 == pytest.approx(3.0 * E1 + 2.0, rel=1e-12)
+
+    def test_equals_the_runs_distance_target_bitwise(self):
+        rng = np.random.default_rng(1)
+        for dim in (1, 2) * 40:
+            g = Grid(dim, float(rng.uniform(1.0, 20.0)), 2 * int(rng.integers(2, 20)) + 1)
+            m = Medium.power_decay(float(rng.uniform(0.5, 2.0)), 3.0, dim=dim)
+            u = Field(g, rng.standard_normal(g.shape))
+            target = _resolve_target(m, u, _rho_weights(g, m.sample(g)), False, Probes())
+            assert weighted_mean(m, u)[0] == target
 
 
 class TestFloor:

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from isoflow import ConfigError, read_snapshot, registry, run_scenario
+from isoflow import ConfigError, SolverConfig, read_snapshot, registry, run_scenario
 from isoflow.cli import main
 from isoflow.scenario import (config_hash, emit_scenario, parse_scenario_text,
                               with_param)
@@ -254,6 +256,19 @@ class TestCLI:
         assert table[0] == "level,dt,delta,resid_decay,resid_energy"
         assert len(table) == 4
 
+    def test_verify_lyapunov_refinement_failure(self, tmp_path, monkeypatch, capsys):
+        # both levels report the same residuals, so the residual does not fall
+        rep = SimpleNamespace(max_resid_decay=2e-2, max_resid_energy=1e-2)
+        levels = [(SolverConfig(dt=dt), None, rep) for dt in (0.1, 0.05)]
+        monkeypatch.setattr("isoflow.cli.lyapunov_refinement", lambda *args: levels)
+        assert main(["verify", "lyapunov", "flux-decay", "--out", str(tmp_path)]) == 4
+        assert "CHECK lyapunov.refinement FAIL 2.000e-02" in capsys.readouterr().out
+
+    def test_verify_scenario_only_for_lyapunov(self, capsys):
+        assert main(["verify", "quadratic-identity", "no-such.cfg"]) == 2
+        assert main(["verify", "lyapunov", "--out", "out"]) == 2
+        assert capsys.readouterr().err.count("only `verify lyapunov <scenario>`") == 2
+
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         assert "isothermalization" in capsys.readouterr().out
@@ -350,20 +365,21 @@ class TestSweepCLI:
         assert not (tmp_path / "sw").exists()
 
 
-@pytest.mark.parametrize("old, new", [
-    ("dt = 0.2", "dt = inf"),
-    ("t_end = 2.0", "t_end = inf"),
-    ("dt = 0.2", "dt = nan"),
-    ("mask_radius = 10.0", "mask_radius = inf"),
-    ("snapshot_every = 2", "snapshot_every = 2\nfloor_alpha = inf"),
-    ("snapshot_every = 2", "snapshot_every = 2\npicard_tol = nan"),
+@pytest.mark.parametrize("old, new, message", [
+    ("dt = 0.2", "dt = inf", "must be finite"),
+    ("t_end = 2.0", "t_end = inf", "must be finite"),
+    ("dt = 0.2", "dt = nan", "must be finite"),
+    ("mask_radius = 10.0", "mask_radius = inf", "must be finite"),
+    ("snapshot_every = 2", "snapshot_every = 2\nfloor_alpha = inf", "must be finite"),
+    ("snapshot_every = 2", "snapshot_every = 2\npicard_tol = nan", "must be finite"),
+    ("snapshot_every = 2", "snapshot_every = 2\npicard_tol = 0", "must be positive"),
 ], ids=["dt-inf", "t_end-inf", "dt-nan", "mask_radius-inf", "floor_alpha-inf",
-        "picard_tol-nan"])
-def test_non_finite_solver_number_is_a_config_error(tmp_path, capsys, old, new):
+        "picard_tol-nan", "picard_tol-zero"])
+def test_non_finite_solver_number_is_a_config_error(tmp_path, capsys, old, new, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(GOOD_CFG.replace(old, new))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "must be finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("radii, values", [

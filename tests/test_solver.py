@@ -16,6 +16,7 @@ from isoflow import diagnostics, grids, solver
 from isoflow.diagnostics import mass
 from isoflow.grids import _Operator, masked_exchange_matrix
 from isoflow.solver import _MaskedStepper, _ZeroExtendStepper
+from isoflow.verify import mass_drift, picard_gap
 
 
 @pytest.fixture
@@ -266,9 +267,7 @@ class TestRun:
         u0 = Field.from_function(g, lambda x: np.exp(-x * x))
         cfg = SolverConfig(scheme="exponential", dt=0.2, t_end=20.0,
                            boundary="mask", mask_radius=10.0, snapshot_every=10)
-        traj = run(u0, m, s, cfg)
-        ms = np.array([rec.mass for rec in traj.diagnostics])
-        assert np.max(np.abs(ms - ms[0])) <= 1e-12 * abs(ms[0])
+        assert mass_drift(run(u0, m, s, cfg)) <= 1e-12
 
     def test_euler_mask_mass_constant(self, setup_1d):
         g, s, m = setup_1d
@@ -276,9 +275,7 @@ class TestRun:
         dt = 0.9 * stability_dt(m, g)
         cfg = SolverConfig(scheme="euler", dt=dt, t_end=200 * dt,
                            boundary="mask", mask_radius=10.0, snapshot_every=20)
-        traj = run(u0, m, s, cfg)
-        ms = np.array([rec.mass for rec in traj.diagnostics])
-        assert np.max(np.abs(ms - ms[0])) <= 1e-12 * abs(ms[0])
+        assert mass_drift(run(u0, m, s, cfg)) <= 1e-12
 
     def test_scheme_consistency_rate(self, setup_1d):
         # euler and integrating-factor trajectories drift apart at O(dt)
@@ -348,8 +345,7 @@ class TestRun:
         cfg = SolverConfig(scheme="exponential", dt=0.3, t_end=6.0,
                            boundary="mask", mask_radius=3.0, snapshot_every=5)
         traj = run(u0, m, s, cfg)
-        ms = np.array([rec.mass for rec in traj.diagnostics])
-        assert np.max(np.abs(ms - ms[0])) <= 1e-12 * abs(ms[0])
+        assert mass_drift(traj) <= 1e-12
         assert traj.final().max() <= u0.max()
 
     def test_config_validation(self):
@@ -691,11 +687,7 @@ class TestPicard:
         s = discretize(Kernel.gaussian(1.0), g.spacing, trunc_tol=1e-8)
         m = floor(Medium.power_decay(1.0, 2.0), 0.3)
         u0 = Field.from_function(g, lambda x: np.exp(-x * x))
-        final, _ = picard_solve(u0, m, s, 1.0, tol=1e-10, dt=1e-3)
-        cfg = SolverConfig(scheme="exponential", dt=1e-3, t_end=1.0,
-                           snapshot_every=10 ** 9)
-        ref = run(u0, m, s, cfg).final()
-        assert np.max(np.abs(final.values - ref.values)) <= 1e-3
+        assert picard_gap(u0, m, s, 1e-3)[0] <= 1e-3
 
     def test_contraction_factor_below_bound(self):
         g = Grid(1, 5.0, 41)
@@ -721,22 +713,20 @@ class TestPicard:
         s = discretize(Kernel.gaussian(1.0), g.spacing, trunc_tol=1e-6)
         m = Medium.constant(1.0)
         u0 = Field.from_function(g, lambda x: np.exp(-x * x))
-        final, report = picard_solve(u0, m, s, 0.1, dt=1e-3)
+        gap, report = picard_gap(u0, m, s, 1e-3, t_end=0.1)
         assert len(report.windows) == 1
-        cfg = SolverConfig(scheme="exponential", dt=1e-3, t_end=0.1, snapshot_every=10 ** 9)
-        ref = run(u0, m, s, cfg).final()
-        assert np.max(np.abs(final.values - ref.values)) <= 1e-3
+        assert gap <= 1e-3
 
     @pytest.mark.parametrize("dt, t_end, tol", [
         (1e-3, math.inf, 1e-10), (1e-3, math.nan, 1e-10), (1e-3, -1.0, 1e-10),
         (-1e-3, 0.2, 1e-10), (math.nan, 0.2, 1e-10), (0.0, 0.2, 1e-10),
-        (1e-3, 0.2, math.nan)],
+        (1e-3, 0.2, math.nan), (1e-3, 0.2, 0.0), (1e-3, 0.2, -1.0)],
         ids=["t_end-inf", "t_end-nan", "t_end-negative", "dt-negative", "dt-nan", "dt-zero",
-             "tol-nan"])
+             "tol-nan", "tol-zero", "tol-negative"])
     def test_numbers_checked_before_any_window(self, dt, t_end, tol):
-        # unchecked, t_end=inf loops forever, t_end=nan or -1 returns u0 with
-        # no window, a negative dt runs one slice per window, and dt=nan or 0
-        # raises an error that is not SolverError
+        # unchecked, t_end=inf loops forever, t_end=nan or -1 returns u0 with no
+        # window, a negative dt runs one slice per window, dt=nan or 0 raises a
+        # non-SolverError, and tol <= 0 iterates max_iter times, then blames the grid
         g = Grid(1, 5.0, 41)
         s = discretize(Kernel.gaussian(1.0), g.spacing, trunc_tol=1e-8)
         m = floor(Medium.power_decay(1.0, 2.0), 0.3)
@@ -751,11 +741,9 @@ class TestPicard:
         u0 = Field.from_function(g, lambda x, y: np.exp(-(x * x + y * y)))
         gaps = []
         for dt in (1e-3, 5e-4):
-            final, report = picard_solve(u0, m, s, 0.5, tol=1e-10, dt=dt)
+            gap, report = picard_gap(u0, m, s, dt, t_end=0.5)
             assert 0.0 < report.max_ratio() <= report.max_bound() < 1.0
-            cfg = SolverConfig(scheme="exponential", dt=dt, t_end=0.5,
-                               snapshot_every=10 ** 9)
-            gaps.append(np.max(np.abs(final.values - run(u0, m, s, cfg).final().values)))
+            gaps.append(gap)
         assert gaps[1] < gaps[0] <= 1e-3
 
 

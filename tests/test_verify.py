@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from isoflow import (DomainMask, Field, Grid, Kernel, Medium, SolverConfig,
-                     comparison_harness, discretize, quadratic_growth_constant,
-                     quadratic_identity, run_suite, steady_state_nullspace,
-                     stencil_second_moment, supersolution_residual)
+                     comparison_harness, discretize, quadratic_identity, run_suite,
+                     steady_state_nullspace, stencil_second_moment, supersolution_residual)
 from isoflow.media import MediumError
-from isoflow.verify import format_checks, suite_names
+from isoflow.verify import format_checks, suite_names, supersolution_margins
 
 
 @pytest.fixture
@@ -82,12 +81,9 @@ class TestSupersolution:
     def test_quadratic_constant_threshold_all_gammas(self, gamma):
         g = Grid(1, 12.0, 241)
         s = discretize(Kernel.gaussian(1.0), g.spacing)
-        m = Medium.power_decay(1.0, gamma)
-        lam = stencil_second_moment(s) / quadratic_growth_constant(m)
-        resid = supersolution_residual(1.0, lam, m, s, g, 1.0)
-        assert resid.min() >= -1e-10
-        half = supersolution_residual(1.0, 0.5 * lam, m, s, g, 0.0)
-        assert half.min() < 0.0
+        at, half = supersolution_margins(g, s, [gamma])[gamma]
+        assert at >= -1e-10
+        assert half < 0.0
 
     def test_needs_decay_floor(self):
         g = Grid(1, 12.0, 241)
