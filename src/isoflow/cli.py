@@ -9,6 +9,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 
 from .scenario import (ConfigError, parse_scenario, registry, run_scenario,
                        scenario_inputs, with_param)
@@ -111,7 +112,9 @@ def _cmd_list(_args):
     return EXIT_OK
 
 
-def main(argv=None):
+@cache
+def _parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="isoflow",
         description="Nonlocal heat flow simulator and verification harness")
@@ -137,8 +140,11 @@ def main(argv=None):
 
     p_list = sub.add_parser("list", help="list built-in scenarios")
     p_list.set_defaults(fn=_cmd_list)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except NumericalAbort as exc:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridError, _domain, _Operator, box_quad_weights, lp_local_distance
+from .grids import GridError, _domain, _lp_local, _Operator, box_quad_weights
 
 
 @dataclass
@@ -92,17 +92,16 @@ def _pair_energy(u, op):
     return float(grid.spacing ** grid.dim * total)
 
 
-def compute_record(t, u, weights, op, *, target=0.0, lp_p=2.0, lp_radius=None):
+def compute_record(t, u, weights, op, ball, *, target=0.0, lp_p=2.0):
     """Assemble the scalar diagnostics for one snapshot.
 
     ``weights`` are the run's rho-weighted quadrature weights
-    (``_rho_weights``) and ``op`` the run's operator (``grids._Operator``),
-    so a record samples no medium, builds no FFT plan and evaluates F with
-    one convolution.
+    (``_rho_weights``), ``op`` the run's operator (``grids._Operator``) and
+    ``ball`` the ball weights of its local L^p probe (``grids._lp_ball``), so
+    a record samples no medium, builds no FFT plan or ball, and evaluates F
+    with one convolution.
     """
     grid = u.grid
-    if lp_radius is None:
-        lp_radius = min(5.0, grid.half_extent)
     return DiagnosticsRecord(
         t=float(t),
         mass=_rho_integral(weights, grid, u.values),
@@ -112,7 +111,7 @@ def compute_record(t, u, weights, op, *, target=0.0, lp_p=2.0, lp_radius=None):
         inf_u=u.min(),
         dist_L1rho=_rho_integral(weights, grid, np.abs(u.values - target)),
         lp_local_p=float(lp_p),
-        lp_local_val=lp_local_distance(u, target, lp_p, lp_radius),
+        lp_local_val=_lp_local(u, target, lp_p, ball),
         u_at_origin=u.at_origin(),
     )
 

@@ -325,18 +325,27 @@ def ball_quad_weights(grid, radius):
     return w
 
 
-def lp_local_distance(f, c, p, radius):
-    """Local L^p distance (integral over |x| <= radius of |f - c|^p)^(1/p)."""
+def _lp_ball(grid, p, radius):
+    """Ball weights of lp_local_distance at ``radius``, once ``p`` and
+    ``radius`` are checked: a run computes them once for all its records."""
     if not 1 <= p < math.inf:
         raise GridError(f"p must be finite and at least 1, got {p!r}")
     if not 0 < radius < math.inf:
         raise GridError(f"radius must be finite and positive, got {radius!r}")
-    if radius > f.grid.half_extent * (1 + 1e-12):
+    if radius > grid.half_extent * (1 + 1e-12):
         raise GridError("radius exceeds the grid half extent")
-    w = ball_quad_weights(f.grid, radius)
-    h = f.grid.spacing
-    total = h ** f.grid.dim * np.sum(w * np.abs(f.values - c) ** p)
+    return ball_quad_weights(grid, radius)
+
+
+def _lp_local(f, c, p, ball):
+    """lp_local_distance on the ball weights ``ball`` from _lp_ball."""
+    total = f.grid.spacing ** f.grid.dim * np.sum(ball * np.abs(f.values - c) ** p)
     return float(total ** (1.0 / p))
+
+
+def lp_local_distance(f, c, p, radius):
+    """Local L^p distance (integral over |x| <= radius of |f - c|^p)^(1/p)."""
+    return _lp_local(f, c, p, _lp_ball(f.grid, p, radius))
 
 
 # ---------------------------------------------------------------------------
@@ -347,27 +356,38 @@ def lp_local_distance(f, c, p, radius):
 PAIR_CAP = 20_000_000
 
 
+def _flat_shifts(offsets, shape):
+    """Flat row-major index shift of each offset on a grid of ``shape``."""
+    return offsets @ np.array([math.prod(shape[d + 1:]) for d in range(len(shape))])
+
+
 def _pair_matrix(stencil, inside):
     """CSR matrix W[x, x - k] = w_k for every nonzero stencil offset k and
     every pair of nodes x, x - k of the boolean grid array ``inside``,
-    numbered by grid node (flat, row-major). Self pairs are never kept."""
-    node = np.arange(inside.size).reshape(inside.shape)
-    rows, cols, data = [], [], []
-    for offset, w in zip(stencil.offsets, stencil.weights):
-        if np.all(offset == 0):
-            continue
-        dst, src = _slice_pair(inside.shape, offset)
-        ok = inside[dst] & inside[src]
-        if not np.any(ok):
-            continue
-        rows.append(node[dst][ok])
-        cols.append(node[src][ok])
-        data.append(np.full(int(ok.sum()), w))
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        data = np.concatenate(data)
-    return sparse.csr_matrix((data, (rows, cols)), shape=(inside.size, inside.size))
+    numbered by grid node (flat, row-major). Self pairs are never kept.
+
+    Assembled row by row with int32 indices and no sort: the offsets are
+    visited in descending flat shift, so the columns x - k of each row come
+    out ascending, and a neighbour k of node x is tested on ``inside`` padded
+    by the stencil's halfwidths, so no neighbour leaves the padded array.
+    """
+    keep = np.any(stencil.offsets != 0, axis=1)
+    shifts = _flat_shifts(stencil.offsets[keep], inside.shape)
+    order = np.argsort(-shifts)
+    offsets, weights = stencil.offsets[keep][order], stencil.weights[keep][order]
+    hw = np.max(np.abs(offsets), axis=0, initial=0)
+    padded = np.pad(inside, [(h, h) for h in hw.tolist()])
+    coords = np.nonzero(inside)
+    nodes = np.flatnonzero(inside).astype(np.int32)
+    at = np.ravel_multi_index(tuple(c + h for c, h in zip(coords, hw)), padded.shape)
+    ok = padded.ravel()[at.astype(np.int32)[:, None]
+                        - _flat_shifts(offsets, padded.shape).astype(np.int32)]
+    indices = (nodes[:, None] - shifts[order].astype(np.int32))[ok]
+    counts = np.zeros(inside.size + 1, dtype=np.int32)
+    counts[nodes + 1] = np.count_nonzero(ok, axis=1)
+    return sparse.csr_matrix((np.broadcast_to(weights, ok.shape)[ok], indices,
+                              np.cumsum(counts, dtype=np.int32)),
+                             shape=(inside.size, inside.size))
 
 
 def masked_exchange_matrix(stencil, mask):

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 from scipy.linalg import blas
 
@@ -168,11 +169,17 @@ class _MaskedStepper:
             # it without a copy: row K - k holds the pairs (x, x + k), row K
             # the diagonal, minus the row sums. Those are taken by the same
             # product, so a constant state stays put to the BLAS's rounding.
+            # Row i of the windows of [0]*K + r_eff is r_eff shifted right by
+            # K - i, so the band is w_k min(r(x - k), r(x)), 0 left of k, filled
+            # in place; offsets the stencil lacks, and the diagonal, weigh 0.
             K = int(stencil.halfwidths[0])
-            band = np.zeros((K + 1, grid.n_nodes), order="F")
-            for (k,), w in zip(stencil.offsets, stencil.weights):
-                if k > 0:
-                    band[K - k, k:] = w * np.minimum(r_eff[:-k], r_eff[k:])
+            band = np.empty((K + 1, grid.n_nodes), order="F")
+            windows = sliding_window_view(np.concatenate((np.zeros(K), r_eff)), grid.n_nodes)
+            np.minimum(windows, r_eff, out=band)
+            k, w = stencil.offsets[:, 0], stencil.weights
+            column = np.zeros((K + 1, 1))
+            column[K - k[k > 0], 0] = w[k > 0]
+            band *= column
             band[K] = -blas.dsbmv(K, 1.0, band, np.ones(grid.n_nodes))
             self.K, self.band = K, band
             return
@@ -189,8 +196,7 @@ class _MaskedStepper:
         # flat shift, and a neighbour past the end of a row lands in padding
         self.padded = grid.shape[:-1] + (grid.shape[-1] + int(stencil.halfwidths[-1]),)
         self.region = tuple(slice(0, n) for n in grid.shape)
-        shifts = stencil.offsets @ np.array([math.prod(self.padded[d + 1:])
-                                             for d in range(grid.dim)])
+        shifts = grids._flat_shifts(stencil.offsets, self.padded)
         self.shifts, self.weights = shifts[shifts > 0], stencil.weights[shifts > 0]
         n = math.prod(self.padded)
         self.r_eff = np.zeros(n)
@@ -316,16 +322,21 @@ def _resolve_target(medium, u0, weights, masked, probes):
 
 def _recorder(traj, u0, medium, rho, op, probes):
     """Callback ``record(t, u)`` that appends the snapshot and its diagnostics
-    to ``traj``. The rho weights and the distance target are computed once,
-    here, and every record reuses the run's sampled ``rho`` and operator."""
-    weights = diagnostics._rho_weights(op.grid, rho, op.mask)
+    to ``traj``. The rho weights, the distance target and the L^p ball
+    weights (radius ``probes.lp_radius``, default min(5, L)) are computed
+    once, here, and every record reuses the run's sampled ``rho`` and operator."""
+    grid = op.grid
+    weights = diagnostics._rho_weights(grid, rho, op.mask)
     target = _resolve_target(medium, u0, weights, op.mask is not None, probes)
+    lp_radius = probes.lp_radius
+    if lp_radius is None:
+        lp_radius = min(5.0, grid.half_extent)
+    ball = grids._lp_ball(grid, probes.lp_p, lp_radius)
 
     def record(t, u):
         traj.snapshots.append((t, u))
         traj.diagnostics.append(diagnostics.compute_record(
-            t, u, weights, op, target=target, lp_p=probes.lp_p,
-            lp_radius=probes.lp_radius))
+            t, u, weights, op, ball, target=target, lp_p=probes.lp_p))
     return record
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from isoflow import (DomainMask, Field, Grid, Kernel, Medium, Probes, SolverConfig,
                      Trajectory, discretize, dissipation_budget, floor, lyapunov_F,
-                     lyapunov_identity_check, mass, run, weighted_energy)
-from isoflow import grids
+                     lp_local_distance, lyapunov_identity_check, mass, run,
+                     weighted_energy)
+from isoflow import diagnostics, grids
 from isoflow.diagnostics import dist_l1_weighted
 from isoflow.grids import GridError, _slice_pair
 from isoflow.verify import f_rise, mass_drift
@@ -334,3 +335,18 @@ class TestRecordInvariants:
             assert rec.weighted_energy == weighted_energy(u, stepped, mask)
             assert rec.dist_L1rho == dist_l1_weighted(u, stepped, 0.0, mask)
             assert rec.lyapunov_F == lyapunov_F(u, s, boundary, mask)
+            assert rec.lp_local_val == lp_local_distance(u, 0.0, 2.0, 5.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_record_lp_local_val_is_lp_local_distance(self, dim):
+        # a run computes the ball weights once; a record shares the public bits
+        g = Grid(dim, 4.0, 41)
+        s = discretize(Kernel.gaussian(0.6, dim=dim), g.spacing, trunc_tol=1e-8)
+        u = Field(g, np.random.default_rng(4).random(g.shape))
+        op = grids._Operator(g, s)
+        weights = diagnostics._rho_weights(g, Medium.constant(1.0, dim=dim).sample(g))
+        for p, radius in ((1.0, 4.0), (2.0, 2.5), (3.5, 1.3)):
+            rec = diagnostics.compute_record(0.0, u, weights, op,
+                                             grids._lp_ball(g, p, radius),
+                                             target=0.3, lp_p=p)
+            assert rec.lp_local_val == lp_local_distance(u, 0.3, p, radius)

@@ -1,9 +1,11 @@
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from isoflow import ConfigError, SolverConfig, read_snapshot, registry, run_scenario
+from isoflow import cli
 from isoflow.cli import main
 from isoflow.scenario import (config_hash, emit_scenario, parse_scenario_text,
                               with_param)
@@ -272,6 +274,36 @@ class TestCLI:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
         assert "isothermalization" in capsys.readouterr().out
+
+    def test_run_named_scenario_validates_it_once(self, tmp_path, monkeypatch):
+        # registry() validates nothing: run_scenario validates the one it runs
+        import isoflow.scenario as scenario_mod
+        calls, validate = [], scenario_mod.validate_scenario
+        monkeypatch.setattr(scenario_mod, "validate_scenario",
+                            lambda sc: calls.append(sc.name) or validate(sc))
+        assert main(["run", "existence-uniqueness", "--out", str(tmp_path)]) == 0
+        assert calls == ["existence-uniqueness"]
+
+    @pytest.mark.parametrize("argv", [["run", "bad"], ["sweep", "bad", "--param", "dt=0.2"],
+                                      ["verify", "lyapunov", "bad"]],
+                             ids=["run", "sweep", "verify-lyapunov"])
+    def test_every_command_that_runs_a_scenario_validates_it(self, argv, tmp_path,
+                                                              monkeypatch, capsys):
+        # a mask wider than the grid: validate_scenario names the field; an
+        # unvalidated run would fail later, in DomainMask, naming none
+        sc = registry()["flux-decay"]
+        bad = replace(sc, solver=replace(sc.solver, mask_radius=30.0))
+        monkeypatch.setattr("isoflow.cli.registry", lambda: {"bad": bad})
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "mask_radius exceeds the grid half extent (field solver)" in \
+            capsys.readouterr().err
+
+    def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, capsys):
+        # a leaked --out would make `verify nullspace` a config error
+        assert main(["run", "existence-uniqueness", "--out", str(tmp_path)]) == 0
+        assert main(["verify", "nullspace"]) == 0
+        assert "CHECK nullspace.split PASS" in capsys.readouterr().out
+        assert cli._parser() is cli._parser()
 
 
 class TestSchemaTable:

@@ -6,6 +6,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.linalg import blas
 
 import isoflow
 from isoflow import (DomainMask, Field, Grid, Kernel, Medium, MediumError, NumericalAbort,
@@ -412,6 +413,49 @@ def test_isolated_mask_node_without_self_weight_rejected(nnz_cap):
     with pytest.raises(SolverError, match="zero in-domain kernel mass"):
         _MaskedStepper(_Operator(g, s0, mask), Medium.constant(1.0).sample(g),
                        "exponential", 0.1, nnz_cap=nnz_cap)
+
+
+def _band_by_offset(stencil, r_eff):
+    # the 1-D band as it was first assembled, one stencil offset at a time
+    K = int(stencil.halfwidths[0])
+    band = np.zeros((K + 1, r_eff.size), order="F")
+    for (k,), w in zip(stencil.offsets, stencil.weights):
+        if k > 0:
+            band[K - k, k:] = w * np.minimum(r_eff[:-k], r_eff[k:])
+    band[K] = -blas.dsbmv(K, 1.0, band, np.ones(r_eff.size))
+    return band
+
+
+def _stencil_1d(g, weights):
+    # symmetric 1-D stencil of weight weights[k] at +-k, renormalized
+    k = np.array(sorted({j for i in weights for j in (i, -i)}))
+    w = np.array([weights[abs(i)] for i in k])
+    return Stencil(k[:, None], w / w.sum(), g.spacing, k.max() * g.spacing, True, 1)
+
+
+@pytest.mark.parametrize("case", ["1d", "1d-split", "absent-and-zero-offsets", "K=M-1"])
+def test_band_equals_the_per_offset_loop(case):
+    if case in ("1d", "1d-split"):
+        g = Grid(1, 10.0, 201)
+        s = discretize(Kernel.gaussian(1.0), g.spacing)
+        mask = DomainMask(g, 10.0, exclude_band=(2.0, 5.0) if case == "1d-split" else None)
+    elif case == "absent-and-zero-offsets":
+        g = Grid(1, 4.0, 41)
+        s = _stencil_1d(g, {0: 3.0, 1: 2.0, 3: 1.0, 4: 0.0})   # no +-2, zero at +-4
+        mask = DomainMask(g, 3.0)
+    else:
+        g = Grid(1, 2.0, 21)
+        s = _stencil_1d(g, {k: math.exp(-0.05 * k * k) for k in range(21)})
+        mask = DomainMask(g, 2.0)
+    op, rho = _Operator(g, s, mask), Medium.power_decay(1.0, 2.0).sample(g)
+    stepper = _MaskedStepper(op, rho, "exponential", 0.7)
+    assert stepper.path == "band"
+    if case == "K=M-1":
+        assert stepper.K == g.points_per_axis - 1
+    r_eff = np.zeros(g.shape)
+    r_eff[mask.inside] = solver._effective_step(rho[mask.inside], op.kappa[mask.inside], 0.7)
+    assert stepper.band.flags.f_contiguous
+    assert np.array_equal(stepper.band, _band_by_offset(s, r_eff))
 
 
 @pytest.fixture(params=[(1, None), (1, (2.0, 5.0)), (2, None), (2, (1.5, 2.6))],
