@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 config error, 3 numerical abort, 4 verification
 failure. ISOFLOW_THREADS caps the worker processes of ``isoflow sweep``; it
-does not touch the masked stepper's one helper thread.
+does not touch the exchange stepper's one helper thread.
 """
 
 import argparse

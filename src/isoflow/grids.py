@@ -352,7 +352,7 @@ def lp_local_distance(f, c, p, radius):
 # masked operator assembly
 
 # Largest pair count (mask nodes x stencil offsets) whose exchange is stored:
-# masked_exchange_matrix raises above it and the masked stepper sweeps.
+# masked_exchange_matrix raises above it and the exchange stepper sweeps.
 PAIR_CAP = 20_000_000
 
 

@@ -296,8 +296,7 @@ def discretize(kernel, spacing, policy="renormalize", trunc_tol=1e-12, max_offse
     return Stencil(offsets, weights, h, R, policy == "renormalize", dim)
 
 
-def stencil_second_moment(stencil, spacing=None):
+def stencil_second_moment(stencil):
     """Discrete counterpart of the kernel second moment: sum w_k |k*h|^2."""
-    h = stencil.spacing if spacing is None else float(spacing)
-    r2 = np.sum((stencil.offsets * h) ** 2, axis=1)
+    r2 = np.sum((stencil.offsets * stencil.spacing) ** 2, axis=1)
     return float(np.sum(stencil.weights * r2))

@@ -58,8 +58,9 @@ class SolverConfig:
             raise SolverError(f"picard_tol must be positive, got {self.picard_tol!r}")
         if self.snapshot_every < 1:
             raise SolverError("snapshot_every must be at least 1")
-        if self.boundary == "mask" and self.mask_radius is None:
-            raise SolverError("mask boundary mode needs mask_radius")
+        if (self.boundary == "mask") != (self.mask_radius is not None):
+            raise SolverError(f"mask_radius must be set exactly when the boundary is mask, "
+                              f"got {self.mask_radius!r} under {self.boundary}")
         if self.scheme == "picard-oracle" and self.boundary == "mask":
             raise SolverError("picard-oracle supports only the zero-extend boundary")
 
@@ -101,7 +102,7 @@ def _check_euler_dt(rho, dt):
 
 
 # ---------------------------------------------------------------------------
-# steppers: one per boundary mode, on the run's operator and sampled rho
+# steppers: one per operator, on the run's operator and sampled rho
 
 
 def _effective_step(rho, kappa, dt):
@@ -112,16 +113,12 @@ def _effective_step(rho, kappa, dt):
     return rho * (-np.expm1(-kappa * dt / rho)) / kappa
 
 
-class _ZeroExtendStepper:
-    """FFT-backed fixed-dt stepper for the zero-extend boundary: u+ = gain J*u
-    + decay u, decay = e^(-dt/rho) or (Euler) 1 - dt/rho, gain = 1 - decay."""
+class _FFTStepper:
+    """Fixed-dt stepper for every step that is one J* convolution: u+ = gain J*u
+    + decay u, by FFT (see _stepper for gain and decay)."""
 
-    def __init__(self, op, rho, scheme, dt):
-        self.op = op
-        if scheme == "euler":
-            _check_euler_dt(rho, dt)
-        self.decay = 1.0 - dt / rho if scheme == "euler" else np.exp(-dt / rho)
-        self.gain = 1.0 - self.decay
+    def __init__(self, op, gain, decay):
+        self.op, self.gain, self.decay = op, gain, decay
 
     def step(self, values):
         out = self.gain * self.op.convolve(values)
@@ -129,39 +126,30 @@ class _ZeroExtendStepper:
         return out
 
 
-class _MaskedStepper:
-    """Fixed-dt stepper for the masked (no-flux) boundary. Its state is the
-    full grid array, zero off the mask, and every step keeps it so.
+class _ExchangeStepper:
+    """Fixed-dt masked exponential step: u+ = u + (pair exchange)/rho. Its state
+    is the full grid array, zero off the mask, and every step keeps it so.
 
-    ``rate()`` is (chi J*u - kappa u)/rho with the in-domain kernel mass
-    kappa = chi J*chi, both by FFT; an Euler step is u + dt * rate(u). An
-    exponential step adds the antisymmetric pair exchange
-    sum_k w_k min(r(x), r(x-k)) (u(x-k) - u(x)) at the integrating-factor
-    rate r = r_eff, which is no convolution; r is zero off the mask, which
-    cuts every pair that leaves the domain. ``path`` says how that exchange
-    is applied. Mask nodes x stencil offsets within ``nnz_cap`` (default
-    grids.PAIR_CAP) store it: in 1-D as a symmetric band of half-width K,
-    the stencil's, applied by one BLAS dsbmv a step (``"band"``); in 2-D as
-    a CSR matrix, the run operator's pair matrix weighted by min(r) (one
-    sparse matvec a step, ``"csr"``). Above the cap nothing per pair is
-    stored and each step sweeps the positive offsets as flat shifts of the
-    grid, split in two fixed halves on two threads (``"sweep"``, see _exchange).
+    The exchange sum_k w_k min(r(x), r(x-k)) (u(x-k) - u(x)) at the
+    integrating-factor rate r = r_eff is no convolution; r is zero off the
+    mask, which cuts every pair that leaves the domain. ``path`` says how the
+    exchange is applied. Mask nodes x stencil offsets within ``nnz_cap``
+    (default grids.PAIR_CAP) store it: in 1-D as a symmetric band of
+    half-width K, the stencil's, applied by one BLAS dsbmv a step
+    (``"band"``); in 2-D as a CSR matrix, the run operator's pair matrix
+    weighted by min(r) (one sparse matvec a step, ``"csr"``). Above the cap
+    nothing per pair is stored and each step sweeps the positive offsets as
+    flat shifts of the grid, split in two fixed halves on two threads
+    (``"sweep"``, see _exchange).
     """
 
-    def __init__(self, op, rho, scheme, dt, nnz_cap=None):
+    def __init__(self, op, rho, dt, nnz_cap=None):
         grid, stencil, inside = op.grid, op.stencil, op.mask.inside
-        self.op, self.rho, self.scheme, self.dt = op, rho, scheme, dt
-        if scheme == "euler":
-            _check_euler_dt(rho[inside], dt)
-        # FFT rounding leaves about 1e-17 of the weight sum where the mass is 0
-        if np.any(op.kappa[inside] <= 1e-12 * stencil.weight_sum()):
-            raise SolverError("mask contains a node with zero in-domain kernel mass")
+        self.rho = rho
         nnz_cap = grids.PAIR_CAP if nnz_cap is None else nnz_cap
         self.path = "sweep"
         if op.mask.n_nodes * len(stencil) <= nnz_cap:
             self.path = "band" if grid.dim == 1 else "csr"
-        if scheme == "euler":
-            return
         r_eff = np.zeros(grid.shape)
         r_eff[inside] = _effective_step(rho[inside], op.kappa[inside], dt)
         if self.path == "band":
@@ -240,8 +228,6 @@ class _MaskedStepper:
         return out.reshape(self.padded)[self.region]
 
     def step(self, state):
-        if self.scheme == "euler":
-            return state + self.dt * self.rate(state)
         if self.path == "band":
             flux = blas.dsbmv(self.K, 1.0, self.band, state)
         elif self.path == "csr":
@@ -250,21 +236,33 @@ class _MaskedStepper:
             flux = self._exchange(state)
         return state + flux / self.rho
 
-    def rate(self, state):
-        """Generator u_t = (J*u - u)/rho on the grid, zero off the mask."""
-        op = self.op
-        return (op.chi * op.convolve(state) - op.kappa * state) / self.rho
-
 
 def _stepper(op, rho, scheme, dt, nnz_cap=None):
-    if op.mask is None:
-        return _ZeroExtendStepper(op, rho, scheme, dt)
-    return _MaskedStepper(op, rho, scheme, dt, nnz_cap)
+    """The stepper of an Euler or exponential step of length ``dt``: the
+    exchange for a masked exponential step, the FFT stepper for any other."""
+    masked = op.mask is not None
+    # FFT rounding leaves about 1e-17 of the weight sum where the mass is 0
+    if masked and np.any(op.kappa[op.mask.inside] <= 1e-12 * op.stencil.weight_sum()):
+        raise SolverError("mask contains a node with zero in-domain kernel mass")
+    if scheme == "euler":
+        _check_euler_dt(rho[op.chi > 0], dt)
+    elif not 0 < dt < math.inf:
+        raise SolverError(f"dt must be positive and finite, got {dt!r}")
+    if masked and scheme == "exponential":
+        return _ExchangeStepper(op, rho, dt, nnz_cap)
+    if masked:
+        # u + dt (chi J*u - kappa u)/rho, kappa = chi J*chi the in-domain
+        # kernel mass: off the mask gain 0 and decay 1 keep the state +0.0
+        rate = dt / rho
+        return _FFTStepper(op, op.chi * rate, 1.0 - op.kappa * rate)
+    # zero-extend: decay e^(-dt/rho), or 1 - dt/rho for Euler
+    decay = 1.0 - dt / rho if scheme == "euler" else np.exp(-dt / rho)
+    return _FFTStepper(op, 1.0 - decay, decay)
 
 
 def _one_step(u, medium, stencil, scheme, dt, boundary, mask):
-    """One step of the stepper for ``boundary``; a masked step takes the
-    sweep path and drops the data outside the mask."""
+    """One step of the stepper for ``boundary``; a masked exponential step
+    takes the sweep path, and a masked step drops the data outside the mask."""
     _check_stencil_fits(u, stencil)
     op = _Operator(u.grid, stencil, _domain(u.grid, boundary, mask))
     stepper = _stepper(op, medium.sample(u.grid), scheme, dt, nnz_cap=0)
@@ -285,13 +283,11 @@ def step_exponential(u, medium, stencil, dt, boundary="zero-extend", mask=None):
 
     Zero-extend: u+ = e^(-dt/rho) u + (1 - e^(-dt/rho)) J*u, the exact flow of
     the frozen-convolution equation. Masked: the conservative pairwise form of
-    the same update (see _MaskedStepper), which keeps the exact
+    the same update (see _ExchangeStepper), which keeps the exact
     discrete conservation law at any dt. Both are positivity-preserving and
     bounded by the data range for renormalized stencils, with no dt
     restriction.
     """
-    if not 0 < dt < math.inf:
-        raise SolverError(f"dt must be positive and finite, got {dt!r}")
     return _one_step(u, medium, stencil, "exponential", dt, boundary, mask)
 
 
@@ -505,7 +501,7 @@ class MonotoneReport:
 
 
 def monotone_approx_run(u0, medium, stencil, n_list, t_probe, dt=0.1,
-                        snapshot_every=10, alphas=None, growth_bound=None):
+                        snapshot_every=10, alphas=None):
     """Run the truncated-data, floored-medium approximations for each n.
 
     For radius n the initial data is u0 restricted to |x| <= n and the medium
@@ -546,8 +542,7 @@ def monotone_approx_run(u0, medium, stencil, n_list, t_probe, dt=0.1,
         eta2 = quadratic_growth_constant(medium)
         lam = stencil_second_moment(stencil) / eta2
         quad = 1.0 + r * r
-        A = growth_bound if growth_bound is not None else float(
-            np.max(u0.values / quad))
+        A = float(np.max(u0.values / quad))
         worst = -math.inf
         for traj in trajectories:
             for t, u in traj.snapshots:

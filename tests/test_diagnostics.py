@@ -261,7 +261,8 @@ class TestRunChecks:
 
         m = Medium.custom(rho, tail="integrable", total_mass=math.pi)
         cfg = SolverConfig(scheme="exponential", dt=0.1, t_end=1.0, boundary=boundary,
-                           mask_radius=10.0, snapshot_every=2)
+                           mask_radius=10.0 if boundary == "mask" else None,
+                           snapshot_every=2)
         traj = run(Field.from_function(g, lambda x: np.exp(-x * x)), m, s, cfg)
         monkeypatch.setattr(grids, "_fft_plan", counting_plan)
         calls["rho"] = 0
@@ -325,7 +326,8 @@ class TestRecordInvariants:
         m = Medium.power_decay(1.0, 2.0)
         u0 = Field.from_function(g, lambda x: np.exp(-0.5 * x * x) + 0.05 * x)
         cfg = SolverConfig(scheme="exponential", dt=0.2, t_end=2.0, boundary=boundary,
-                           mask_radius=8.0, snapshot_every=5, floor_alpha=floor_alpha)
+                           mask_radius=8.0 if boundary == "mask" else None,
+                           snapshot_every=5, floor_alpha=floor_alpha)
         traj = run(u0, m, s, cfg, Probes(dist_target="zero"))
         stepped = m if floor_alpha is None else floor(m, floor_alpha)
         mask = DomainMask(g, 8.0) if boundary == "mask" else None

@@ -396,6 +396,18 @@ class TestSweepCLI:
         assert "dist_target" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 
+    def test_mask_radius_under_zero_extend_fails_before_any_run(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # zero-extend would ignore the radius, so no value of it is accepted
+        cfg_text = GOOD_CFG.replace("boundary = mask\nmask_radius = 10.0\n",
+                                    "boundary = zero-extend\n")
+        assert parse_scenario_text(cfg_text).solver.mask_radius is None
+        assert self._sweep(tmp_path, monkeypatch, "mask_radius=5", cfg_text) == 2
+        assert "mask_radius" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+        with pytest.raises(ConfigError, match="mask_radius"):
+            with_param(registry()["quadratic-growth"], "mask_radius", "5.0")
+
 
 @pytest.mark.parametrize("old, new, message", [
     ("dt = 0.2", "dt = inf", "must be finite"),

@@ -66,8 +66,7 @@ def scenarios(draw):
     solver = SolverConfig(
         scheme=scheme, dt=draw(st.floats(1e-6, 10.0)), t_end=draw(st.floats(0.0, 1e4)),
         boundary=boundary,
-        mask_radius=(draw(st.floats(0.1, half)) if boundary == "mask"
-                     else draw(st.none() | st.floats(0.1, 1e3))),
+        mask_radius=draw(st.floats(0.1, half)) if boundary == "mask" else None,
         snapshot_every=draw(st.integers(1, 10 ** 6)),
         floor_alpha=draw(st.none() | st.floats(1e-6, 10.0)),
         picard_tol=draw(st.floats(1e-14, 1e-2)))
@@ -76,7 +75,7 @@ def scenarios(draw):
     if classify(build_medium(medium, dim)).integrable is True:
         targets.append("e_rho")
     probes = Probes(lp_p=draw(st.floats(1.0, 10.0)),
-                    lp_radius=draw(st.none() | st.floats(0.0, half)),
+                    lp_radius=draw(st.none() | st.floats(0.0, half, exclude_min=True)),
                     dist_target=draw(st.sampled_from(targets)))
     outputs = OutputSpec(draw(texts), draw(texts),
                          draw(st.sampled_from(["none", "last", "all"])))

@@ -16,7 +16,7 @@ from isoflow import (DomainMask, Field, Grid, Kernel, Medium, MediumError, Numer
 from isoflow import diagnostics, grids, solver
 from isoflow.diagnostics import mass
 from isoflow.grids import _Operator, masked_exchange_matrix
-from isoflow.solver import _MaskedStepper, _ZeroExtendStepper
+from isoflow.solver import _ExchangeStepper, _FFTStepper, _stepper
 from isoflow.verify import mass_drift, picard_gap
 
 
@@ -85,7 +85,7 @@ class TestStepEuler:
         op = _Operator(g, s)
         dt = 0.9 * float(rho.min())
         want = u + dt * (op.convolve(u) - u) / rho
-        got = _ZeroExtendStepper(op, rho, "euler", dt).step(u)
+        got = _stepper(op, rho, "euler", dt).step(u)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(u))
 
 
@@ -175,10 +175,26 @@ class TestStepExponential:
         rho = Medium.power_decay(1.0, 2.0).sample(g)
         u = np.random.default_rng(dim).standard_normal(g.shape)
         op = _Operator(g, s)
-        stepper = _ZeroExtendStepper(op, rho, "exponential", 0.3)
+        stepper = _stepper(op, rho, "exponential", 0.3)
         decay = np.exp(-0.3 / rho)
         np.testing.assert_array_equal(stepper.step(u),
                                       decay * u + (1.0 - decay) * op.convolve(u))
+
+
+# (boundary, scheme, grids.PAIR_CAP, the path the run's stepper takes) per dim
+_STEPPER_PATHS = {dim: [("zero-extend", "euler", grids.PAIR_CAP, "fft"),
+                        ("zero-extend", "exponential", grids.PAIR_CAP, "fft"),
+                        ("mask", "euler", grids.PAIR_CAP, "fft"),
+                        ("mask", "exponential", grids.PAIR_CAP, stored),
+                        ("mask", "exponential", 0, "sweep")]
+                  for dim, stored in ((1, "band"), (2, "csr"))}
+
+
+def _stepper_setups(setup_1d):
+    """(dim, (grid, stencil, medium), mask radius) in 1-D and at 2-D M=41."""
+    g = Grid(2, 4.0, 41)
+    s = discretize(Kernel.gaussian(0.6, dim=2), g.spacing, trunc_tol=1e-8)
+    return [(1, setup_1d, 10.0), (2, (g, s, Medium.power_decay(1.0, 2.0, dim=2)), 3.5)]
 
 
 class TestRun:
@@ -197,7 +213,8 @@ class TestRun:
         for t_end, every in ((1.9, 19), (1.9, 1), (1.95, 1)):
             calls.clear()
             cfg = SolverConfig(scheme="exponential", dt=0.1, t_end=t_end, boundary=boundary,
-                               mask_radius=10.0, snapshot_every=every)
+                               mask_radius=10.0 if boundary == "mask" else None,
+                               snapshot_every=every)
             n_records = len(run(u0, m, s, cfg).diagnostics)
             counts[n_records] = len(calls)
         assert set(counts) == {2, 20, 21}
@@ -236,7 +253,8 @@ class TestRun:
                     monkeypatch.setattr(mod, name, wrapped)
         u0 = Field.from_function(g, lambda x: np.exp(-x * x))
         cfg = SolverConfig(scheme=scheme, dt=0.1, t_end=t_end, boundary=boundary,
-                           mask_radius=10.0, snapshot_every=every)
+                           mask_radius=10.0 if boundary == "mask" else None,
+                           snapshot_every=every)
         run(u0, m, s, cfg)
         assert calls == {"_fft_plan": 1, "_pair_matrix": 0}
 
@@ -293,40 +311,52 @@ class TestRun:
             gaps.append(np.max(np.abs(a.values - b.values)))
         assert math.log2(gaps[0] / gaps[1]) == pytest.approx(1.0, abs=0.15)
 
-    def test_steppers_match_reference_steps(self, setup_1d):
-        # the precompiled run loop must reproduce the one-shot operations
-        g, s, m = setup_1d
-        rng = np.random.default_rng(8)
-        u0 = Field(g, np.abs(rng.standard_normal(g.shape)))
-        for boundary, mask_r in (("zero-extend", None), ("mask", 10.0)):
-            mask = DomainMask(g, mask_r) if mask_r else None
-            for scheme in ("euler", "exponential"):
+    def test_steppers_match_reference_steps(self, setup_1d, monkeypatch):
+        # the precompiled run loop must reproduce the one-shot operations on
+        # every stepper path, in 1-D and 2-D; a masked exponential one-shot sweeps
+        made = []
+        picker = solver._stepper
+        monkeypatch.setattr(solver, "_stepper", lambda *a, **k: made.append(picker(*a, **k))
+                            or made[-1])
+        for dim, (g, s, m), mask_r in _stepper_setups(setup_1d):
+            rng = np.random.default_rng(8)
+            u0 = Field(g, np.abs(rng.standard_normal(g.shape)))
+            for boundary, scheme, cap, path in _STEPPER_PATHS[dim]:
+                monkeypatch.setattr(grids, "PAIR_CAP", cap)
+                mask = DomainMask(g, mask_r) if boundary == "mask" else None
                 dt = 0.5 * stability_dt(m, g) if scheme == "euler" else 0.7
-                cfg = SolverConfig(scheme=scheme, dt=dt, t_end=dt,
-                                   boundary=boundary, mask_radius=mask_r,
-                                   snapshot_every=1)
+                cfg = SolverConfig(scheme=scheme, dt=dt, t_end=dt, boundary=boundary,
+                                   mask_radius=mask_r if mask else None, snapshot_every=1)
+                made.clear()
                 got = run(u0, m, s, cfg).final().values
+                assert getattr(made[0], "path", "fft") == path
                 stepfn = step_euler if scheme == "euler" else step_exponential
                 want = stepfn(u0 if mask is None else Field(g, u0.values * mask.indicator()),
                               m, s, dt, boundary=boundary, mask=mask).values
-                assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0)
+                assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0), \
+                    (dim, boundary, scheme, path)
 
     @pytest.mark.parametrize("scheme", ["euler", "exponential"])
-    def test_masked_state_is_positive_zero_off_the_mask(self, setup_1d, scheme):
-        # run snapshots (CSR path) and a one-shot step (sweep path), from data
-        # of both signs: off the mask every value is +0.0, never -0.0
-        g, s, m = setup_1d
-        mask = DomainMask(g, 5.0)
-        u0 = Field.from_function(g, lambda x: np.cos(x) - 0.5)
-        dt = 0.5 * stability_dt(m, g) if scheme == "euler" else 0.7
-        cfg = SolverConfig(scheme=scheme, dt=dt, t_end=3.5 * dt, boundary="mask",
-                           mask_radius=5.0, snapshot_every=1)
-        states = [u.values for _, u in run(u0, m, s, cfg).snapshots]
-        stepfn = step_euler if scheme == "euler" else step_exponential
-        states.append(stepfn(u0, m, s, dt, boundary="mask", mask=mask).values)
-        for values in states:
-            outside = values[~mask.inside]
-            assert np.all(outside == 0.0) and not np.any(np.signbit(outside))
+    def test_masked_state_is_positive_zero_off_the_mask(self, setup_1d, monkeypatch,
+                                                        scheme):
+        # run snapshots on each masked path of the scheme (FFT for Euler;
+        # band or CSR, and sweep, for exponential) and a one-shot step, from
+        # data of both signs: off the mask every value is +0.0, never -0.0
+        for dim, (g, s, m), mask_r in _stepper_setups(setup_1d):
+            mask = DomainMask(g, 0.5 * mask_r)
+            u0 = Field(g, np.cos(sum(g.coords())) - 0.5)
+            dt = 0.5 * stability_dt(m, g) if scheme == "euler" else 0.7
+            cfg = SolverConfig(scheme=scheme, dt=dt, t_end=3.5 * dt, boundary="mask",
+                               mask_radius=0.5 * mask_r, snapshot_every=1)
+            states = []
+            for _, _, cap, _ in (p for p in _STEPPER_PATHS[dim] if p[:2] == ("mask", scheme)):
+                monkeypatch.setattr(grids, "PAIR_CAP", cap)
+                states += [u.values for _, u in run(u0, m, s, cfg).snapshots]
+            stepfn = step_euler if scheme == "euler" else step_exponential
+            states.append(stepfn(u0, m, s, dt, boundary="mask", mask=mask).values)
+            for values in states:
+                outside = values[~mask.inside]
+                assert np.all(outside == 0.0) and not np.any(np.signbit(outside)), dim
 
     def test_nan_abort_carries_step_index(self, setup_1d):
         g, s, m = setup_1d
@@ -359,6 +389,9 @@ class TestRun:
         with pytest.raises(SolverError, match="zero-extend"):
             SolverConfig(scheme="picard-oracle", boundary="mask",
                          mask_radius=5.0).validate()
+        # zero-extend would ignore a mask radius
+        with pytest.raises(SolverError, match="mask_radius"):
+            SolverConfig(dt=0.1, t_end=1.0, mask_radius=3.0).validate()
 
     @pytest.mark.parametrize("boundary", ["zero-extend", "mask"])
     def test_final_partial_step_lands_on_t_end(self, setup_1d, boundary):
@@ -402,6 +435,26 @@ def test_zero_extend_steps_match_direct_convolution(dim):
         assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def test_masked_euler_builds_no_pair_matrix(monkeypatch):
+    # 2-D, where an exponential run at this size stores the exchange as CSR
+    def refuse(*args):
+        raise AssertionError("pair matrix built")
+
+    monkeypatch.setattr(grids, "_pair_matrix", refuse)
+    g = Grid(2, 4.0, 41)
+    s = discretize(Kernel.gaussian(0.6, dim=2), g.spacing, trunc_tol=1e-8)
+    m = Medium.power_decay(1.0, 2.0, dim=2)
+    u0 = Field(g, np.random.default_rng(3).random(g.shape))
+    dt = 0.5 * stability_dt(m, g)
+    cfg = SolverConfig(scheme="euler", dt=dt, t_end=3 * dt, boundary="mask",
+                       mask_radius=3.5, snapshot_every=1)
+    run(u0, m, s, cfg)
+    step_euler(u0, m, s, dt, boundary="mask", mask=DomainMask(g, 3.5))
+    with pytest.raises(AssertionError, match="pair matrix built"):
+        run(u0, m, s, SolverConfig(scheme="exponential", dt=0.1, t_end=0.1,
+                                   boundary="mask", mask_radius=3.5))
+
+
 @pytest.mark.parametrize("nnz_cap", [20_000_000, 0], ids=["csr", "sweep"])
 def test_isolated_mask_node_without_self_weight_rejected(nnz_cap):
     g = Grid(1, 5.0, 51)
@@ -410,9 +463,10 @@ def test_isolated_mask_node_without_self_weight_rejected(nnz_cap):
     s0 = Stencil(s.offsets[keep], s.weights[keep], s.spacing, s.truncation_radius,
                  False, 1)
     mask = DomainMask(g, 0.05)   # the origin node alone
-    with pytest.raises(SolverError, match="zero in-domain kernel mass"):
-        _MaskedStepper(_Operator(g, s0, mask), Medium.constant(1.0).sample(g),
-                       "exponential", 0.1, nnz_cap=nnz_cap)
+    op, rho = _Operator(g, s0, mask), Medium.constant(1.0).sample(g)
+    for scheme in ("euler", "exponential"):
+        with pytest.raises(SolverError, match="zero in-domain kernel mass"):
+            _stepper(op, rho, scheme, 0.1, nnz_cap=nnz_cap)
 
 
 def _band_by_offset(stencil, r_eff):
@@ -448,7 +502,7 @@ def test_band_equals_the_per_offset_loop(case):
         s = _stencil_1d(g, {k: math.exp(-0.05 * k * k) for k in range(21)})
         mask = DomainMask(g, 2.0)
     op, rho = _Operator(g, s, mask), Medium.power_decay(1.0, 2.0).sample(g)
-    stepper = _MaskedStepper(op, rho, "exponential", 0.7)
+    stepper = _ExchangeStepper(op, rho, 0.7)
     assert stepper.path == "band"
     if case == "K=M-1":
         assert stepper.K == g.points_per_axis - 1
@@ -477,24 +531,20 @@ class TestMaskedSweep:
     """The flat-shift sweep (forced with nnz_cap=0) against the stored
     exchange: the band in 1-D, CSR in 2-D."""
 
-    @pytest.mark.parametrize("scheme", ["euler", "exponential"])
-    def test_step_and_rate_match_csr(self, sweep_case, scheme):
+    def test_step_matches_the_stored_exchange(self, sweep_case):
         g, s, m, mask, u0 = sweep_case
-        dt = 0.9 * stability_dt(m, g) if scheme == "euler" else 0.7
         op, rho = _Operator(g, s, mask), m.sample(g)
-        stored = _MaskedStepper(op, rho, scheme, dt)
-        sweep = _MaskedStepper(op, rho, scheme, dt, nnz_cap=0)
+        stored = _ExchangeStepper(op, rho, 0.7)
+        sweep = _ExchangeStepper(op, rho, 0.7, nnz_cap=0)
         assert (stored.path, sweep.path) == ("band" if g.dim == 1 else "csr", "sweep")
-        for name in ("step", "rate"):
-            want = getattr(stored, name)(u0)
-            got = getattr(sweep, name)(u0)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+        want = stored.step(u0)
+        assert np.max(np.abs(sweep.step(u0) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_stored_step_matches_weighted_exchange_matrix(self, sweep_case):
         # x + (C x - rowsum(C) x)/rho with C = W min(r_i, r_j) over mask nodes
         g, s, m, mask, u0 = sweep_case
         op, rho = _Operator(g, s, mask), m.sample(g)
-        stepper = _MaskedStepper(op, rho, "exponential", 0.7)
+        stepper = _ExchangeStepper(op, rho, 0.7)
         inside = mask.inside
         r = solver._effective_step(rho[inside], op.kappa[inside], 0.7)
         C = masked_exchange_matrix(s, mask).tocoo()
@@ -511,28 +561,32 @@ class TestMaskedSweep:
 
     @pytest.mark.parametrize("nnz_cap", [20_000_000, 0], ids=["csr", "sweep"])
     def test_rate_matches_exchange_matrix(self, sweep_case, nnz_cap):
+        # whatever the pair cap, a masked Euler step is one FFT step whose
+        # rate (u+ - u) rho/dt is W x - rowsum(W) x over the mask nodes
         g, s, m, mask, u0 = sweep_case
-        stepper = _MaskedStepper(_Operator(g, s, mask), m.sample(g), "exponential",
-                                 0.7, nnz_cap=nnz_cap)
+        rho, dt = m.sample(g), 0.9 * stability_dt(m, g)
+        stepper = _stepper(_Operator(g, s, mask), rho, "euler", dt, nnz_cap=nnz_cap)
+        assert isinstance(stepper, _FFTStepper)
         W = masked_exchange_matrix(s, mask)
         x = u0[mask.inside]
-        want = (W @ x - np.asarray(W.sum(axis=1)).ravel() * x) / stepper.rho[mask.inside]
-        got = stepper.rate(u0)[mask.inside]
+        want = W @ x - np.asarray(W.sum(axis=1)).ravel() * x
+        got = ((stepper.step(u0) - u0) * rho / dt)[mask.inside]
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("scheme", ["euler", "exponential"])
     def test_mass_conserved_over_many_steps(self, sweep_case, scheme):
-        # on the stored path (default cap) and on the sweep
+        # Euler on the FFT stepper; exponential on the stored path (default
+        # cap) and on the sweep
         g, s, m, mask, u0 = sweep_case
         dt = 0.9 * stability_dt(m, g) if scheme == "euler" else 0.7
         op, rho = _Operator(g, s, mask), m.sample(g)
         for nnz_cap in (None, 0):
-            stepper = _MaskedStepper(op, rho, scheme, dt, nnz_cap=nnz_cap)
+            stepper = _stepper(op, rho, scheme, dt, nnz_cap=nnz_cap)
             x = u0
             m0 = float(np.sum(rho * x))
             for _ in range(120):
                 x = stepper.step(x)
-            assert abs(float(np.sum(rho * x)) - m0) <= 1e-12 * m0, stepper.path
+            assert abs(float(np.sum(rho * x)) - m0) <= 1e-12 * m0, nnz_cap
 
     def test_positivity_and_range_at_large_dt(self, sweep_case):
         # on the stored path (default cap) and on the sweep
@@ -540,7 +594,7 @@ class TestMaskedSweep:
         op, rho, inside = _Operator(g, s, mask), m.sample(g), mask.inside
         lo, hi = float(u0[inside].min()), float(u0[inside].max())
         for nnz_cap in (None, 0):
-            stepper = _MaskedStepper(op, rho, "exponential", 50.0, nnz_cap=nnz_cap)
+            stepper = _ExchangeStepper(op, rho, 50.0, nnz_cap=nnz_cap)
             x = u0
             for _ in range(20):
                 x = stepper.step(x)
@@ -557,13 +611,14 @@ class TestMaskedSweep:
         stored = "band" if dim == 1 else "csr"
         for cap, path in ((pairs, stored), (pairs - 1, "sweep")):
             monkeypatch.setattr(grids, "PAIR_CAP", cap)
-            assert _MaskedStepper(op, rho, "exponential", 0.1).path == path
+            assert _stepper(op, rho, "exponential", 0.1).path == path
+            assert isinstance(_stepper(op, rho, "euler", 0.1), _FFTStepper)
         with pytest.raises(grids.GridError, match="too large"):
             masked_exchange_matrix(s, op.mask)
 
     def test_sweep_is_its_two_halves_summed_in_order(self, sweep_case):
         g, s, m, mask, u0 = sweep_case
-        sweep = _MaskedStepper(_Operator(g, s, mask), m.sample(g), "exponential", 0.7,
+        sweep = _ExchangeStepper(_Operator(g, s, mask), m.sample(g), 0.7,
                                nnz_cap=0)
         threads, interval = threading.active_count(), sys.getswitchinterval()
         first = sweep._exchange(u0).copy()
@@ -594,8 +649,8 @@ class TestMaskedSweep:
         mask = DomainMask(g, 3.0)
         op, rho = _Operator(g, s, mask), m.sample(g)
         u0 = np.random.default_rng(5).random(g.shape) * mask.indicator()
-        stored = _MaskedStepper(op, rho, "exponential", 0.7)
-        sweep = _MaskedStepper(op, rho, "exponential", 0.7, nnz_cap=0)
+        stored = _ExchangeStepper(op, rho, 0.7)
+        sweep = _ExchangeStepper(op, rho, 0.7, nnz_cap=0)
         assert len(sweep.shifts) == n_shifts
         assert [len(h[0]) for h in sweep._halves] == [(n_shifts + 1) // 2, n_shifts // 2]
         want = stored.step(u0)
@@ -603,16 +658,16 @@ class TestMaskedSweep:
 
     def test_helper_half_failure_is_raised(self, sweep_case, monkeypatch):
         g, s, m, mask, u0 = sweep_case
-        sweep = _MaskedStepper(_Operator(g, s, mask), m.sample(g), "exponential", 0.7,
+        sweep = _ExchangeStepper(_Operator(g, s, mask), m.sample(g), 0.7,
                                nnz_cap=0)
-        real = _MaskedStepper._sweep
+        real = _ExchangeStepper._sweep
 
         def failing(self, shifts, weights, out, *scratch):
             if out is self._halves[1][2]:
                 raise FloatingPointError("second half failed")
             return real(self, shifts, weights, out, *scratch)
 
-        monkeypatch.setattr(_MaskedStepper, "_sweep", failing)
+        monkeypatch.setattr(_ExchangeStepper, "_sweep", failing)
         threads = threading.active_count()
         with pytest.raises(FloatingPointError, match="second half failed"):
             sweep.step(u0)
@@ -623,14 +678,14 @@ _CPU_COUNT_RUN = """
 import os, sys
 import numpy as np
 from isoflow import Field, Grid, Kernel, Medium, SolverConfig, discretize, grids, run
-from isoflow.solver import _MaskedStepper
+from isoflow.solver import _ExchangeStepper
 if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     assert len(os.sched_getaffinity(0)) == 1
 grids.PAIR_CAP = 0
 calls = []
-exchange = _MaskedStepper._exchange
-_MaskedStepper._exchange = lambda self, state: calls.append(1) or exchange(self, state)
+exchange = _ExchangeStepper._exchange
+_ExchangeStepper._exchange = lambda self, state: calls.append(1) or exchange(self, state)
 g = Grid(2, 4.0, 41)
 s = discretize(Kernel.gaussian(0.6, dim=2), g.spacing, trunc_tol=1e-8)
 u0 = Field(g, np.random.default_rng(2).random(g.shape))
