@@ -5,8 +5,6 @@ import struct
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy import sparse
 
 
 class GridError(ValueError):
@@ -225,6 +223,18 @@ def convolve_direct(f, stencil, boundary="zero-extend", mask=None):
     return Field(f.grid, _convolve_zero_extend(f.values * chi, stencil) * chi, copy=False)
 
 
+def _next_fast_len(n):
+    """The smallest 5-smooth integer >= n: a length numpy's FFT handles fast."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
 def _fft_plan(shape, stencil):
     """Padded shape, kernel transform and row buffer of zero-extend FFT
     convolution. An axis of n nodes and halfwidth K pads to the shortest
@@ -232,11 +242,11 @@ def _fft_plan(shape, stencil):
     off the n data nodes. The kernel is transformed along the last axis, then
     along axis 0; the row buffer is the data rows, padded on the last axis."""
     hw = stencil.halfwidths
-    pad_shape = tuple(sp_fft.next_fast_len(n + int(w), real=True) for n, w in zip(shape, hw))
+    pad_shape = tuple(_next_fast_len(n + int(w)) for n, w in zip(shape, hw))
     karr = np.zeros(pad_shape)
     idx = tuple((stencil.offsets[:, d]) % pad_shape[d] for d in range(len(shape)))
     np.add.at(karr, idx, stencil.weights)
-    return pad_shape, sp_fft.rfftn(karr), np.zeros(shape[:-1] + pad_shape[-1:])
+    return pad_shape, np.fft.rfftn(karr), np.zeros(shape[:-1] + pad_shape[-1:])
 
 
 class _Operator:
@@ -265,14 +275,15 @@ class _Operator:
         if values.ndim > self.grid.dim:
             rows = np.zeros(values.shape[:-1] + pad_shape[-1:])
         rows[..., :values.shape[-1]] = values
-        spec = sp_fft.rfft(rows)
+        spec = np.fft.rfft(rows)
         if self.grid.dim == 2:
-            spec = sp_fft.fft(spec, n=pad_shape[0], axis=-2, overwrite_x=True)
+            spec = np.fft.fft(spec, n=pad_shape[0], axis=-2)
             spec *= khat
-            spec = sp_fft.ifft(spec, axis=-2, overwrite_x=True)[..., :values.shape[-2], :]
+            # in place: a fresh array here costs a 2-D step about a third more
+            spec = np.fft.ifft(spec, axis=-2, out=spec)[..., :values.shape[-2], :]
         else:
             spec *= khat
-        return sp_fft.irfft(spec, n=pad_shape[-1])[..., :values.shape[-1]]
+        return np.fft.irfft(spec, n=pad_shape[-1])[..., :values.shape[-1]]
 
     @cached_property
     def kappa(self):
@@ -371,6 +382,7 @@ def _pair_matrix(stencil, inside):
     out ascending, and a neighbour k of node x is tested on ``inside`` padded
     by the stencil's halfwidths, so no neighbour leaves the padded array.
     """
+    from scipy import sparse   # here, so only a run that stores its pairs loads it
     keep = np.any(stencil.offsets != 0, axis=1)
     shifts = _flat_shifts(stencil.offsets[keep], inside.shape)
     order = np.argsort(-shifts)

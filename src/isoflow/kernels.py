@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-from scipy import optimize, special
 
 _SUPPORTED_DIMS = (1, 2)
 
@@ -16,6 +15,20 @@ _SCALE_PARAM = {"gaussian": "sigma", "laplace": "scale", "uniform-ball": "radius
 
 class KernelError(ValueError):
     """Invalid kernel parameters or failed kernel validation."""
+
+
+def _bisect(pred, lo, hi):
+    """Where ``pred`` turns true on [lo, hi], to the last float: pred(lo) is
+    false, pred(hi) true, and the bracket halves until its midpoint equals an
+    end. Returns the end at which ``pred`` holds."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
 
 
 def _check_dim(dim):
@@ -158,7 +171,7 @@ class Kernel:
         if self.family == "gaussian":
             s = self.params["sigma"]
             if self.dim == 1:
-                return float(special.erfc(R / (s * math.sqrt(2.0))))
+                return math.erfc(R / (s * math.sqrt(2.0)))
             return float(math.exp(-0.5 * (R / s) ** 2))
         if self.family == "laplace":
             b = self.params["scale"]
@@ -205,8 +218,7 @@ class Kernel:
             hi *= 2.0
             if hi > 1e9:
                 raise KernelError("kernel tail does not reach trunc_tol")
-        return float(optimize.brentq(
-            lambda R: self.outside_mass(R) - trunc_tol, 0.0, hi, xtol=1e-12, rtol=1e-12))
+        return _bisect(lambda R: self.outside_mass(R) <= trunc_tol, 0.0, hi)
 
     def __repr__(self):
         return f"Kernel({self.family}, dim={self.dim}, {self.params})"
@@ -284,6 +296,10 @@ def discretize(kernel, spacing, policy="renormalize", trunc_tol=1e-12, max_offse
     keep = radii <= R + 1e-12 * max(1.0, R)
     offsets = offsets[keep]
     radii = radii[keep]
+    if len(offsets) == 1:
+        raise KernelError(
+            f"stencil keeps only the origin (truncation radius {R:.3g}, spacing {h:g}): "
+            "J* would be the identity; use a finer spacing")
     weights = (h ** dim) * kernel.eval_radius(radii)
     if policy == "renormalize":
         total = weights.sum()

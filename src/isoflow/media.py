@@ -5,10 +5,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .diagnostics import _rho_weights
 from .grids import Field
+from .kernels import _bisect
 
 _SUPPORTED_DIMS = (1, 2)
 
@@ -228,7 +228,7 @@ def quadratic_growth_constant(medium):
     def d(r):
         return 2.0 * r * (1.0 + r ** g) - g * r ** (g - 1.0) * (1.0 + r * r)
 
-    r_star = optimize.brentq(d, 1e-12, 1.0, xtol=1e-15, rtol=8.9e-16)
+    r_star = _bisect(lambda r: d(r) > 0, 1e-12, 1.0)
     m = (1.0 + r_star ** 2) / (1.0 + r_star ** g)
     return eta * m
 

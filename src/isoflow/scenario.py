@@ -37,7 +37,9 @@ class ConfigError(ValueError):
 # keys are its dataclass's fields, parsed with their annotated types; a
 # ``params`` field expands to the parameters of the family table below.
 
-# kind -> family -> {param: type (required) or default value (optional)}
+# kind -> family -> {param: type (required) or default value (optional)}. An
+# initial-family parameter is the pair (that, its domain in _DOMAINS), which
+# validate_scenario checks; kernel and medium constructors check their own.
 _FAMILIES = {
     "kernel": {
         "gaussian": {"sigma": float},
@@ -52,13 +54,25 @@ _FAMILIES = {
         "exponential-decay": {"amplitude": float, "scale": float},
     },
     "initial": {
-        "constant": {"value": float},
-        "gaussian-bump": {"height": float, "width": float},
-        "indicator": {"radius": float, "value": 1.0},
-        "quadratic": {"power": 1.0},
+        "constant": {"value": (float, "finite")},
+        "gaussian-bump": {"height": (float, "finite"), "width": (float, "positive")},
+        "indicator": {"radius": (float, "nonnegative"), "value": (1.0, "finite")},
+        "quadratic": {"power": (1.0, "finite")},
         "table": {"radii": list, "values": list},
     },
 }
+
+# written so that NaN fails too
+_DOMAINS = {
+    "finite": math.isfinite,
+    "positive": lambda v: 0 < v < math.inf,
+    "nonnegative": lambda v: 0 <= v < math.inf,
+}
+
+
+def _schema(kind, family):
+    """{param: type (required) or default value (optional)} of one family."""
+    return {k: d[0] if isinstance(d, tuple) else d for k, d in _FAMILIES[kind][family].items()}
 
 
 @dataclass
@@ -114,9 +128,9 @@ def _key_types(section, cls):
     types = {}
     for name, hint in get_type_hints(cls).items():
         if name == "params":
-            for schema in _FAMILIES[section].values():
+            for family in _FAMILIES[section]:
                 types.update((k, d if isinstance(d, type) else type(d))
-                             for k, d in schema.items())
+                             for k, d in _schema(section, family).items())
         elif name not in _SPECS:
             opt = [a for a in get_args(hint) if a is not type(None)]
             types[name] = opt[0] if opt else hint
@@ -142,7 +156,7 @@ def _family_params(kind, spec):
     """spec.params checked against the family table, with defaults filled in."""
     if spec.family not in _FAMILIES[kind]:
         raise ConfigError(f"unknown {kind} family {spec.family!r}", field=f"{kind}.family")
-    schema = _FAMILIES[kind][spec.family]
+    schema = _schema(kind, spec.family)
     missing = {k for k, d in schema.items() if isinstance(d, type)} - set(spec.params)
     extra = set(spec.params) - set(schema)
     if missing:
@@ -216,6 +230,10 @@ def validate_scenario(sc):
     kern = build_kernel(sc.kernel, grid.dim)
     medium = build_medium(sc.medium, grid.dim)
     init = _family_params("initial", sc.initial)
+    for key, entry in _FAMILIES["initial"][sc.initial.family].items():
+        if isinstance(entry, tuple) and not _DOMAINS[entry[1]](init[key]):
+            raise ConfigError(f"initial family {sc.initial.family!r} needs a {entry[1]} "
+                              f"{key}, got {init[key]!r}", field=f"initial.{key}")
     if sc.initial.family == "table":
         radii, values = (np.asarray(init[k], dtype=float) for k in ("radii", "values"))
         if not (len(radii) == len(values) >= 1 and np.all(np.isfinite(radii))

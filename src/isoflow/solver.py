@@ -7,8 +7,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import sparse
-from scipy.linalg import blas
 
 from . import diagnostics, grids
 from .grids import DomainMask, Field, _check_stencil_fits, _domain, _Operator
@@ -25,10 +23,10 @@ class SolverError(RuntimeError):
 
 
 class NumericalAbort(SolverError):
-    """A step produced non-finite values."""
+    """A step produced non-finite values, in its state or in its record."""
 
-    def __init__(self, step_index):
-        super().__init__(f"non-finite values detected at step {step_index}")
+    def __init__(self, step_index, what="values detected"):
+        super().__init__(f"non-finite {what} at step {step_index}")
         self.step_index = step_index
 
 
@@ -153,6 +151,7 @@ class _ExchangeStepper:
         r_eff = np.zeros(grid.shape)
         r_eff[inside] = _effective_step(rho[inside], op.kappa[inside], dt)
         if self.path == "band":
+            from scipy.linalg.blas import dsbmv   # here, so only a band run loads it
             # LAPACK upper band storage, in Fortran order so that f2py passes
             # it without a copy: row K - k holds the pairs (x, x + k), row K
             # the diagonal, minus the row sums. Those are taken by the same
@@ -168,10 +167,11 @@ class _ExchangeStepper:
             column = np.zeros((K + 1, 1))
             column[K - k[k > 0], 0] = w[k > 0]
             band *= column
-            band[K] = -blas.dsbmv(K, 1.0, band, np.ones(grid.n_nodes))
-            self.K, self.band = K, band
+            band[K] = -dsbmv(K, 1.0, band, np.ones(grid.n_nodes))
+            self.K, self.band, self.dsbmv = K, band, dsbmv
             return
         if self.path == "csr":
+            from scipy import sparse   # here, so only a run on the CSR path loads it
             P = op.pairs
             coo = P.tocoo(copy=False)
             r = r_eff.ravel()
@@ -229,7 +229,7 @@ class _ExchangeStepper:
 
     def step(self, state):
         if self.path == "band":
-            flux = blas.dsbmv(self.K, 1.0, self.band, state)
+            flux = self.dsbmv(self.K, 1.0, self.band, state)
         elif self.path == "csr":
             flux = (self.C @ state.ravel()).reshape(state.shape) - self.cdiag * state
         else:
@@ -317,10 +317,12 @@ def _resolve_target(medium, u0, weights, masked, probes):
 
 
 def _recorder(traj, u0, medium, rho, op, probes):
-    """Callback ``record(t, u)`` that appends the snapshot and its diagnostics
-    to ``traj``. The rho weights, the distance target and the L^p ball
-    weights (radius ``probes.lp_radius``, default min(5, L)) are computed
-    once, here, and every record reuses the run's sampled ``rho`` and operator."""
+    """Callback ``record(t, u, step)`` that appends the snapshot and its
+    diagnostics to ``traj``, or raises NumericalAbort at ``step`` naming the
+    record's non-finite columns. The rho weights, the distance target and the
+    L^p ball weights (radius ``probes.lp_radius``, default min(5, L)) are
+    computed once, here, and every record reuses the run's sampled ``rho`` and
+    operator."""
     grid = op.grid
     weights = diagnostics._rho_weights(grid, rho, op.mask)
     target = _resolve_target(medium, u0, weights, op.mask is not None, probes)
@@ -329,10 +331,14 @@ def _recorder(traj, u0, medium, rho, op, probes):
         lp_radius = min(5.0, grid.half_extent)
     ball = grids._lp_ball(grid, probes.lp_p, lp_radius)
 
-    def record(t, u):
+    def record(t, u, step):
+        rec = diagnostics.compute_record(t, u, weights, op, ball, target=target,
+                                         lp_p=probes.lp_p)
+        bad = [name for name, value in vars(rec).items() if not math.isfinite(value)]
+        if bad:
+            raise NumericalAbort(step, f"{', '.join(bad)} in the record")
         traj.snapshots.append((t, u))
-        traj.diagnostics.append(diagnostics.compute_record(
-            t, u, weights, op, ball, target=target, lp_p=probes.lp_p))
+        traj.diagnostics.append(rec)
     return record
 
 
@@ -340,7 +346,8 @@ def run(u0, medium, stencil, config, probes=None):
     """Advance u0 to t_end, recording diagnostics every snapshot_every steps.
 
     Deterministic for identical inputs. The masked initial state is the data
-    zeroed off the mask. NaN production aborts with the offending step.
+    zeroed off the mask. A non-finite state, or a non-finite column of a
+    record, raises NumericalAbort with the offending step.
     The operator and rho are built once, for every step and every record.
     """
     config.validate()
@@ -357,8 +364,8 @@ def run(u0, medium, stencil, config, probes=None):
     traj = Trajectory(rho=rho, mask=mask)
     record = _recorder(traj, u0, medium_eff, rho, op, probes)
     if config.scheme == "picard-oracle":
-        # snapshots at the window ends
-        record(0.0, u0.copy())
+        # snapshots at the window ends, a window a step
+        record(0.0, u0.copy(), 0)
         _, traj.picard_report = _picard(u0, op, rho, config.t_end, config.picard_tol,
                                         config.dt, collect=record)
         traj.validate()
@@ -384,7 +391,7 @@ def run(u0, medium, stencil, config, probes=None):
                 raise NumericalAbort(k)
         if k % config.snapshot_every == 0 or k == last:
             record(config.t_end if k == last else k * config.dt,
-                   Field(grid, state, copy=True))
+                   Field(grid, state, copy=True), k)
     traj.validate()
     return traj
 
@@ -432,7 +439,8 @@ def picard_solve(u0, medium, stencil, t_end, tol=1e-10, dt=1e-3, window=None,
 
 
 def _picard(u0, op, rho, t_end, tol, dt, window=None, max_iter=400, collect=None):
-    """picard_solve on the operator ``op`` (zero-extend) and the sampled ``rho``."""
+    """picard_solve on the operator ``op`` (zero-extend) and the sampled ``rho``;
+    ``collect(t, u, window)`` is called at the end of each window."""
     grid = u0.grid
     rho = rho.ravel()
     rho0 = float(rho.min())
@@ -483,7 +491,8 @@ def _picard(u0, op, rho, t_end, tol, dt, window=None, max_iter=400, collect=None
         state = w[-1].copy()
         t += tau
         if collect is not None:
-            collect(t, Field(grid, state.reshape(grid.shape), copy=True))
+            collect(t, Field(grid, state.reshape(grid.shape), copy=True),
+                    len(report.windows))
     return Field(grid, state.reshape(grid.shape), copy=True), report
 
 

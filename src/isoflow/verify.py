@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csgraph
 
 from .diagnostics import lyapunov_identity_check
 from .grids import DomainMask, Field, Grid, convolve_direct, masked_exchange_matrix
@@ -138,6 +137,7 @@ def steady_state_nullspace(stencil, mask, node_cap=4000):
     n = mask.n_nodes
     if n > node_cap:
         raise ValueError(f"nullspace check is capped at {node_cap} nodes, got {n}")
+    from scipy.sparse import csgraph   # here, so only this check loads it
     W = masked_exchange_matrix(stencil, mask)
     n_comp = int(csgraph.connected_components(W, directed=False)[0])
     A = W.toarray()

@@ -263,6 +263,12 @@ def _assert_fft_matches_direct(g, s, seed):
     assert np.max(np.abs(d - ff)) <= 1e-10 * np.max(np.abs(d))
 
 
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+    assert all(grids._next_fast_len(n) == next_fast_len(n, real=True)
+               for n in range(1, 10_001))
+
+
 class TestConvolveFFT:
     @pytest.mark.parametrize("kernel", [Kernel.gaussian(1.0), Kernel.laplace(0.4),
                                         Kernel.uniform_ball(1.0)])

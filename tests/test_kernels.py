@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from isoflow import Kernel, KernelError, discretize, stencil_second_moment
+from isoflow import Kernel, KernelError, Stencil, discretize, stencil_second_moment
 
 
 def brute_second_moment(stencil):
@@ -117,6 +117,20 @@ class TestTruncation:
         # erfc oracle: the reported radius carries exactly the target tail
         assert special.erfc(R / math.sqrt(2.0)) == pytest.approx(1e-12, rel=1e-6)
 
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 2.0])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+    def test_gaussian_2d_truncation_radius_closed_form(self, sigma, tol):
+        # outside mass exp(-R^2 / (2 sigma^2))
+        R = Kernel.gaussian(sigma, dim=2).truncation_radius(tol)
+        assert R == pytest.approx(sigma * math.sqrt(-2.0 * math.log(tol)), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [0.4, 1.0, 3.0])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+    def test_laplace_1d_truncation_radius_closed_form(self, scale, tol):
+        # outside mass exp(-R / b)
+        R = Kernel.laplace(scale).truncation_radius(tol)
+        assert R == pytest.approx(-scale * math.log(tol), rel=1e-12)
+
     def test_uniform_truncation_is_support(self):
         assert Kernel.uniform_ball(2.5).truncation_radius(1e-12) == 2.5
 
@@ -168,6 +182,15 @@ class TestDiscretize:
         with pytest.raises(KernelError, match="coarser"):
             discretize(Kernel.gaussian(1.0), 1e-5, max_offsets=1000)
 
+    @pytest.mark.parametrize("kernel, spacing", [
+        (Kernel.gaussian(1e-300), 0.5), (Kernel.uniform_ball(0.4), 1.0),
+        (Kernel.laplace(1e-3, dim=2), 0.5),
+    ])
+    def test_stencil_of_the_origin_alone_is_rejected(self, kernel, spacing):
+        # J would be a point mass and every step the identity
+        with pytest.raises(KernelError, match="only the origin"):
+            discretize(kernel, spacing)
+
     def test_bad_policy_and_spacing(self):
         with pytest.raises(KernelError):
             discretize(Kernel.gaussian(1.0), -0.1)
@@ -177,8 +200,8 @@ class TestDiscretize:
 
 class TestSecondMoment:
     def test_delta_stencil_is_zero(self):
-        s = discretize(Kernel.uniform_ball(0.4), 1.0)
-        assert len(s) == 1
+        # discretize rejects a stencil that keeps only the origin, so build it
+        s = Stencil(np.zeros((1, 1)), [1.0], 1.0, 0.4, True, 1)
         assert stencil_second_moment(s) == 0.0
 
     def test_matches_brute_force(self):

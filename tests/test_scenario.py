@@ -455,6 +455,50 @@ def test_bad_probe_is_a_config_error(tmp_path, capsys, probe):
     assert not (tmp_path / "out").exists()
 
 
+def _small_flux_decay():
+    """flux-decay shrunk to a 41-node grid and three steps."""
+    sc = registry()["flux-decay"]
+    for key, value in [("solver.mask_radius", "8"), ("grid.points_per_axis", "41"),
+                       ("grid.half_extent", "10"), ("solver.t_end", "0.3")]:
+        sc = with_param(sc, key, value)
+    return sc
+
+
+def test_non_finite_record_is_a_numerical_abort(tmp_path, capsys):
+    # the state stays finite, but F and the L^2 probe of height 1e300 overflow
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(emit_scenario(with_param(_small_flux_decay(), "initial.height", "1e300")))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite lyapunov_F" in err and "lp_local_val" in err
+    assert "at step 0" in err
+    assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("family, key, value", [
+    ("gaussian-bump", "width", "-1"), ("gaussian-bump", "width", "0"),
+    ("gaussian-bump", "width", "nan"), ("gaussian-bump", "height", "inf"),
+    ("indicator", "radius", "-0.5"), ("indicator", "value", "nan"),
+    ("constant", "value", "-inf"), ("quadratic", "power", "nan"),
+])
+def test_initial_parameter_outside_its_domain_is_a_config_error(
+        tmp_path, capsys, family, key, value):
+    sc = _small_flux_decay()
+    params = {"gaussian-bump": {"height": 1.0, "width": 1.0}, "constant": {"value": 1.0},
+              "indicator": {"radius": 2.0}, "quadratic": {}}[family]
+    sc = replace(sc, initial=replace(sc.initial, family=family, params=params))
+    with pytest.raises(ConfigError, match=rf"field initial\.{key}\)"):
+        with_param(sc, f"initial.{key}", value)
+    bad = replace(sc, initial=replace(sc.initial, params={**params, key: float(value)}))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(emit_scenario(bad))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"field initial.{key})" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_good_initial_table_runs(tmp_path):
     cfg = tmp_path / "good.cfg"
     cfg.write_text(GOOD_CFG.replace("family = gaussian-bump\nheight = 1.0\nwidth = 1.0",

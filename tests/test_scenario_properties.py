@@ -23,16 +23,21 @@ def _writable(text):
 
 texts = st.text(max_size=12).filter(_writable)
 finite = st.floats(-1e3, 1e3, allow_nan=False)
+# values inside each parameter domain of scenario._DOMAINS
+in_domain = {"finite": finite, "positive": st.floats(1e-3, 1e3),
+             "nonnegative": st.floats(0.0, 1e3)}
 
 
 def _family(draw, kind, value):
-    """A family of ``kind`` with every required and some optional parameters."""
+    """A family of ``kind`` with every required and some optional parameters,
+    drawn from ``value`` or, where the table gives one, the parameter's domain."""
     family = draw(st.sampled_from(sorted(_FAMILIES[kind])))
     params = {}
-    for key, default in _FAMILIES[kind][family].items():
+    for key, entry in _FAMILIES[kind][family].items():
+        default, domain = entry if isinstance(entry, tuple) else (entry, None)
         if isinstance(default, type) or draw(st.booleans()):
             params[key] = (draw(st.lists(finite, max_size=4)) if default is list
-                           else draw(value))
+                           else draw(in_domain[domain] if domain else value))
     return family, params
 
 

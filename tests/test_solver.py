@@ -358,15 +358,39 @@ class TestRun:
                 outside = values[~mask.inside]
                 assert np.all(outside == 0.0) and not np.any(np.signbit(outside)), dim
 
-    def test_nan_abort_carries_step_index(self, setup_1d):
+    def test_nan_abort_carries_step_index(self, setup_1d, monkeypatch):
+        # every stepper is stable, so the third step is made to produce a NaN
         g, s, m = setup_1d
-        u0 = Field.constant(g, 1e308)
+        steps = []
+        real_step = _FFTStepper.step
+
+        def step(self, values):
+            out = real_step(self, values)
+            steps.append(None)
+            if len(steps) == 3:
+                out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(_FFTStepper, "step", step)
         cfg = SolverConfig(scheme="euler", dt=stability_dt(m, g) * 0.99,
                            t_end=1.0, snapshot_every=1)
+        with pytest.raises(NumericalAbort, match="non-finite values") as err:
+            run(Field.constant(g, 1.0), m, s, cfg)
+        assert err.value.step_index == 3
+
+    @pytest.mark.parametrize("scheme", ["euler", "picard-oracle"])
+    def test_non_finite_record_aborts_naming_its_columns(self, setup_1d, scheme):
+        # finite data whose squares overflow: the state stays finite, F does not
+        g, s, m = setup_1d
+        u0 = Field.constant(g, 1e300)
+        cfg = SolverConfig(scheme=scheme, dt=stability_dt(m, g) * 0.99, t_end=1.0,
+                           floor_alpha=0.01 if scheme == "picard-oracle" else None)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalAbort) as err:
+            with pytest.raises(NumericalAbort, match="lyapunov_F") as err:
                 run(u0, m, s, cfg)
-        assert err.value.step_index >= 1
+        assert err.value.step_index == 0
+        assert "in the record at step 0" in str(err.value)
+        assert "mass" not in str(err.value)
 
     def test_2d_smoke_mask_conservation(self):
         g = Grid(2, 3.0, 31)
