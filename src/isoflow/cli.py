@@ -9,11 +9,12 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from functools import cache
 
 from .scenario import (ConfigError, parse_scenario, registry, run_scenario,
                        scenario_inputs, with_param)
-from .solver import NumericalAbort, SolverError
+from .solver import NumericalAbort, SolverError, run
 from .verify import (CheckResult, format_checks, lyapunov_refinement,
                      refinement_verdict, run_suite, suite_names)
 
@@ -55,10 +56,13 @@ def _cmd_sweep(args):
     if not tokens:
         raise ConfigError("sweep needs at least one value")
     base_dir = args.out or sc.outputs.directory
-    # every varied scenario is built, and so validated, before any run starts
     jobs = [(with_param(sc, key, tok),
              os.path.join(base_dir, f"sweep-{key.split('.')[-1]}-{tok}"))
             for tok in tokens]
+    # a zero-step run of each value checks it, and writes nothing, before any run
+    for varied, _ in jobs:
+        u0, medium, stencil = scenario_inputs(varied)
+        run(u0, medium, stencil, replace(varied.solver, t_end=0.0), varied.probes)
     env_cap = os.environ.get("ISOFLOW_THREADS")
     workers = min(len(jobs), int(env_cap) if env_cap else (os.cpu_count() or 1))
     if workers > 1:

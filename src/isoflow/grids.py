@@ -24,6 +24,8 @@ class Grid:
             raise GridError(f"dim must be 1 or 2, got {dim}")
         if not 0 < half_extent < math.inf:
             raise GridError(f"half_extent must be positive and finite, got {half_extent!r}")
+        if not math.isfinite(dim * half_extent * half_extent):   # ** would raise
+            raise GridError(f"half_extent {half_extent!r}: the squared radius overflows")
         if not float(points_per_axis).is_integer():
             raise GridError(f"points_per_axis must be an integer, got {points_per_axis!r}")
         points_per_axis = int(points_per_axis)
@@ -128,7 +130,7 @@ class DomainMask:
 
     def __init__(self, grid, radius, exclude_band=None):
         if radius > grid.half_extent * (1 + 1e-12):
-            raise GridError("mask radius exceeds the grid half extent")
+            raise GridError(f"mask_radius {radius:g} exceeds half_extent {grid.half_extent:g}")
         self.grid = grid
         self.radius = float(radius)
         self.exclude_band = None
@@ -174,15 +176,15 @@ def _slice_pair(shape, offset):
     return tuple(dst), tuple(src)
 
 
-def _check_stencil_fits(field, stencil):
-    grid = field.grid
+def _check_stencil_fits(grid, stencil):
     if stencil.dim != grid.dim:
         raise GridError("stencil and grid dimensions differ")
     if not np.isclose(stencil.spacing, grid.spacing, rtol=1e-9, atol=0.0):
         raise GridError(
             f"stencil spacing {stencil.spacing:g} does not match grid spacing {grid.spacing:g}")
     if stencil.truncation_radius > 2.0 * grid.half_extent * (1 + 1e-12):
-        raise GridError("stencil truncation radius exceeds the grid size")
+        raise GridError(f"stencil truncation radius {stencil.truncation_radius:.3g} "
+                        f"exceeds the grid size 2L={2 * grid.half_extent:g}")
     if np.any(stencil.halfwidths > grid.points_per_axis - 1):
         raise GridError("stencil is wider than the grid")
 
@@ -217,7 +219,7 @@ def convolve_direct(f, stencil, boundary="zero-extend", mask=None):
     exchange to mask-interior nodes: the output at interior x is
     sum over interior y of w(x - y) f(y), and zero outside the mask.
     """
-    _check_stencil_fits(f, stencil)
+    _check_stencil_fits(f.grid, stencil)
     mask = _domain(f.grid, boundary, mask)
     chi = 1.0 if mask is None else mask.indicator()
     return Field(f.grid, _convolve_zero_extend(f.values * chi, stencil) * chi, copy=False)
@@ -300,7 +302,7 @@ def convolve_fft(f, stencil):
 
     Matches convolve_direct within 1e-10 relative on the max norm.
     """
-    _check_stencil_fits(f, stencil)
+    _check_stencil_fits(f.grid, stencil)
     conv = _Operator(f.grid, stencil).convolve(f.values)
     return Field(f.grid, np.ascontiguousarray(conv), copy=False)
 
@@ -340,11 +342,11 @@ def _lp_ball(grid, p, radius):
     """Ball weights of lp_local_distance at ``radius``, once ``p`` and
     ``radius`` are checked: a run computes them once for all its records."""
     if not 1 <= p < math.inf:
-        raise GridError(f"p must be finite and at least 1, got {p!r}")
+        raise GridError(f"lp_p must be finite and at least 1, got {p!r}")
     if not 0 < radius < math.inf:
-        raise GridError(f"radius must be finite and positive, got {radius!r}")
+        raise GridError(f"lp_radius must be finite and positive, got {radius!r}")
     if radius > grid.half_extent * (1 + 1e-12):
-        raise GridError("radius exceeds the grid half extent")
+        raise GridError(f"lp_radius {radius:g} exceeds half_extent {grid.half_extent:g}")
     return ball_quad_weights(grid, radius)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .diagnostics import _rho_weights
 from .grids import Field
-from .kernels import _bisect
+from .kernels import _OMEGA, _bisect
 
 _SUPPORTED_DIMS = (1, 2)
 
@@ -121,7 +121,7 @@ class Medium:
         if alpha is not None:
             vals = np.maximum(vals, alpha)
         if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
-            raise MediumError("medium density must be finite and strictly positive")
+            raise MediumError(f"{self!r}: density must be finite and strictly positive")
         return vals
 
     def field(self, grid):
@@ -158,17 +158,7 @@ class MediumClassification:
     """
     integrable: bool | None
     total_mass: float | None
-    mass_error: float
     decay_floor: tuple[float, float] | None
-
-
-def _power_decay_mass(a, beta, dim):
-    # integral of a/(1+r^beta) over R^dim; finite iff beta > dim
-    if beta <= dim:
-        return math.inf
-    s = dim
-    omega = 2.0 if dim == 1 else 2.0 * math.pi
-    return omega * a * (math.pi / beta) / math.sin(math.pi * s / beta)
 
 
 def classify(medium):
@@ -177,33 +167,34 @@ def classify(medium):
     fam = medium.family
     if fam == "constant":
         c = medium.params["value"]
-        return MediumClassification(False, math.inf, 0.0, (c, 0.0))
+        return MediumClassification(False, math.inf, (c, 0.0))
     if fam == "power-decay":
         a, beta = medium.params["amplitude"], medium.params["exponent"]
-        mass = _power_decay_mass(a, beta, dim)
+        # integral of a/(1+r^beta) over R^dim; finite iff beta > dim
+        mass = (_OMEGA[dim] * a * (math.pi / beta) / math.sin(math.pi * dim / beta)
+                if beta > dim else math.inf)
         floor_pair = (a, beta) if beta <= 2.0 else None
-        return MediumClassification(beta > dim, mass, 0.0, floor_pair)
+        return MediumClassification(beta > dim, mass, floor_pair)
     if fam == "gaussian-decay":
         a, s = medium.params["amplitude"], medium.params["sigma"]
         mass = a * (2.0 * math.pi) ** (dim / 2.0) * s ** dim
-        return MediumClassification(True, mass, 0.0, None)
+        return MediumClassification(True, mass, None)
     if fam == "exponential-decay":
         a, b = medium.params["amplitude"], medium.params["scale"]
-        mass = a * (2.0 if dim == 1 else 2.0 * math.pi) * b ** dim * math.gamma(dim)
-        return MediumClassification(True, mass, 0.0, None)
+        mass = a * _OMEGA[dim] * b ** dim * math.gamma(dim)
+        return MediumClassification(True, mass, None)
     if fam == "floored":
         base_cls = classify(medium.base)
         floor_pair = base_cls.decay_floor
         if floor_pair is None or floor_pair[0] < medium.alpha:
             floor_pair = (medium.alpha, 0.0)
-        return MediumClassification(False, math.inf, 0.0, floor_pair)
+        return MediumClassification(False, math.inf, floor_pair)
     if fam == "custom":
         if medium.tail == "unknown":
-            return MediumClassification(None, None, math.inf, None)
+            return MediumClassification(None, None, None)
         if medium.tail == "nonintegrable":
-            return MediumClassification(False, math.inf, 0.0, None)
-        return MediumClassification(True, medium._total_mass, math.inf
-                                    if medium._total_mass is None else 0.0, None)
+            return MediumClassification(False, math.inf, None)
+        return MediumClassification(True, medium._total_mass, None)
     raise MediumError(f"cannot classify medium family {fam!r}")
 
 

@@ -9,10 +9,10 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
-from .grids import Field, Grid, write_snapshot
+from .grids import Field, Grid, GridError, _check_stencil_fits, write_snapshot
 from .kernels import Kernel, KernelError, discretize
 from .media import Medium, MediumError, classify
-from .solver import _DIST_TARGETS, Probes, SolverConfig, run
+from .solver import Probes, SolverConfig, run
 
 
 class ConfigError(ValueError):
@@ -39,7 +39,7 @@ class ConfigError(ValueError):
 
 # kind -> family -> {param: type (required) or default value (optional)}. An
 # initial-family parameter is the pair (that, its domain in _DOMAINS), which
-# validate_scenario checks; kernel and medium constructors check their own.
+# build_initial checks; kernel and medium constructors check their own.
 _FAMILIES = {
     "kernel": {
         "gaussian": {"sigma": float},
@@ -109,6 +109,11 @@ class OutputSpec:
     csv: str = "diagnostics.csv"
     snapshots: str = "none"    # none | last | all
 
+    def __post_init__(self):
+        if self.snapshots not in ("none", "last", "all"):
+            raise ConfigError(f"outputs.snapshots must be none|last|all, got "
+                              f"{self.snapshots!r}", field="outputs")
+
 
 @dataclass
 class Scenario:
@@ -169,13 +174,6 @@ def _family_params(kind, spec):
             **spec.params}
 
 
-def build_kernel(spec, dim):
-    try:
-        return Kernel(spec.family, dim, **_family_params("kernel", spec))
-    except KernelError as exc:
-        raise ConfigError(str(exc), field="kernel") from exc
-
-
 def build_medium(spec, dim):
     try:
         return Medium(spec.family, dim, _family_params("medium", spec))
@@ -184,11 +182,20 @@ def build_medium(spec, dim):
 
 
 def build_grid(spec):
-    return Grid(spec.dim, spec.half_extent, spec.points_per_axis)
+    try:
+        return Grid(spec.dim, spec.half_extent, spec.points_per_axis)
+    except GridError as exc:
+        raise ConfigError(str(exc), field="grid") from exc
 
 
+@np.errstate(over="ignore", invalid="ignore")   # u0 is checked to be finite
 def build_initial(spec, grid):
+    """u0 on grid; a parameter outside its domain or a non-finite value is a ConfigError."""
     p = _family_params("initial", spec)
+    for key, entry in _FAMILIES["initial"][spec.family].items():
+        if isinstance(entry, tuple) and not _DOMAINS[entry[1]](p[key]):
+            raise ConfigError(f"initial family {spec.family!r} needs a {entry[1]} {key}, "
+                              f"got {p[key]!r}", field=f"initial.{key}")
     r = grid.radius()
     if spec.family == "constant":
         vals = np.full(grid.shape, float(p["value"]))
@@ -199,72 +206,31 @@ def build_initial(spec, grid):
     elif spec.family == "quadratic":
         vals = (1.0 + r * r) ** float(p["power"])
     else:
-        vals = np.interp(r, np.asarray(p["radii"], dtype=float),
-                         np.asarray(p["values"], dtype=float))
-    if spec.truncate_radius is not None:
-        vals = np.where(r <= spec.truncate_radius * (1 + 1e-12), vals, 0.0)
-    return Field(grid, vals, copy=False)
-
-
-def build_stencil(spec, grid):
-    kern = build_kernel(spec, grid.dim)
-    policy = "renormalize" if spec.renormalize else "raw"
-    try:
-        return discretize(kern, grid.spacing, policy=policy, trunc_tol=spec.trunc_tol)
-    except KernelError as exc:
-        raise ConfigError(str(exc), field="kernel") from exc
-
-
-def validate_scenario(sc):
-    """Cross-field validation; raises ConfigError on the first failure."""
-    if sc.outputs.snapshots not in ("none", "last", "all"):
-        raise ConfigError(f"outputs.snapshots must be none|last|all, got "
-                          f"{sc.outputs.snapshots!r}", field="outputs")
-    if sc.probes.dist_target not in _DIST_TARGETS:
-        raise ConfigError(f"probes.dist_target must be {'|'.join(_DIST_TARGETS)}, got "
-                          f"{sc.probes.dist_target!r}", field="probes")
-    try:
-        grid = build_grid(sc.grid)
-    except Exception as exc:
-        raise ConfigError(str(exc), field="grid") from exc
-    kern = build_kernel(sc.kernel, grid.dim)
-    medium = build_medium(sc.medium, grid.dim)
-    init = _family_params("initial", sc.initial)
-    for key, entry in _FAMILIES["initial"][sc.initial.family].items():
-        if isinstance(entry, tuple) and not _DOMAINS[entry[1]](init[key]):
-            raise ConfigError(f"initial family {sc.initial.family!r} needs a {entry[1]} "
-                              f"{key}, got {init[key]!r}", field=f"initial.{key}")
-    if sc.initial.family == "table":
-        radii, values = (np.asarray(init[k], dtype=float) for k in ("radii", "values"))
+        radii, values = (np.asarray(p[k], dtype=float) for k in ("radii", "values"))
         if not (len(radii) == len(values) >= 1 and np.all(np.isfinite(radii))
                 and np.all(np.isfinite(values)) and np.all(np.diff(radii) > 0)):
             raise ConfigError("initial family 'table' needs finite radii and values of "
                               "equal length >= 1, with radii strictly increasing",
                               field="initial")
+        vals = np.interp(r, radii, values)
+    if spec.truncate_radius is not None:
+        vals = np.where(r <= spec.truncate_radius * (1 + 1e-12), vals, 0.0)
     try:
-        sc.solver.validate()
-    except Exception as exc:
-        raise ConfigError(str(exc), field="solver") from exc
-    R = kern.truncation_radius(sc.kernel.trunc_tol)
-    if R > 2.0 * grid.half_extent:
-        raise ConfigError(
-            f"stencil truncation radius {R:.3g} exceeds the grid size 2L="
-            f"{2 * grid.half_extent:g}", field="kernel")
-    if sc.solver.boundary == "mask" and sc.solver.mask_radius > grid.half_extent:
-        raise ConfigError("mask_radius exceeds the grid half extent", field="solver")
-    if sc.probes.dist_target == "e_rho" and classify(medium).integrable is not True:
-        raise ConfigError("E_rho undefined: the medium is not integrable",
-                          field="probes.dist_target")
-    if not 1 <= sc.probes.lp_p < math.inf:
-        raise ConfigError(f"lp_p must be finite and at least 1, got {sc.probes.lp_p!r}",
-                          field="probes")
-    if sc.probes.lp_radius is not None:
-        if not 0 < sc.probes.lp_radius < math.inf:
-            raise ConfigError(f"lp_radius must be finite and positive, got "
-                              f"{sc.probes.lp_radius!r}", field="probes")
-        if sc.probes.lp_radius > grid.half_extent:
-            raise ConfigError("lp_radius exceeds the grid half extent", field="probes")
-    return grid, kern, medium
+        return Field(grid, vals, copy=False)
+    except GridError as exc:
+        raise ConfigError(str(exc), field="initial") from exc
+
+
+def build_stencil(spec, grid):
+    """The stencil on ``grid``, checked to fit it; discretize solves its radius once."""
+    policy = "renormalize" if spec.renormalize else "raw"
+    try:
+        kern = Kernel(spec.family, grid.dim, **_family_params("kernel", spec))
+        stencil = discretize(kern, grid.spacing, policy=policy, trunc_tol=spec.trunc_tol)
+        _check_stencil_fits(grid, stencil)
+    except (KernelError, GridError) as exc:
+        raise ConfigError(str(exc), field="kernel") from exc
+    return stencil
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +291,8 @@ def _sections(sc):
 
 
 def _build_scenario(sections, name_hint):
-    """Scenario from parsed sections; dataclass defaults fill absent keys."""
+    """Scenario from parsed sections; dataclass defaults fill absent keys. The
+    format alone is checked: values are checked where they are built."""
     specs = {}
     for section, cls in _SPECS.items():
         if section not in sections and section in _REQUIRED["scenario"]:
@@ -338,13 +305,13 @@ def _build_scenario(sections, name_hint):
             data["params"] = {k: data.pop(k) for k in list(data)
                               if k not in _FIELDS[section]}
         specs[section] = cls(**data)
-    sc = Scenario(**{"name": name_hint, **sections.get("scenario", {}), **specs})
-    validate_scenario(sc)
-    return sc
+    for kind in _FAMILIES:
+        _family_params(kind, specs[kind])
+    return Scenario(**{"name": name_hint, **sections.get("scenario", {}), **specs})
 
 
 def parse_scenario_text(text, name_hint="scenario"):
-    """Parse the flat sectioned key-value format into a validated Scenario.
+    """Parse the flat sectioned key-value format into a Scenario.
 
     Unknown sections and keys are errors; duplicate keys name the offending
     line. No silent defaults exist for physics-bearing fields.
@@ -410,8 +377,8 @@ def config_hash(sc):
 def registry():
     """Built-in scenarios, one per headline long-time result.
 
-    Nothing is validated here: ``run_scenario``, ``scenario_inputs`` and
-    ``with_param`` validate the one scenario they are given.
+    Nothing is checked here: ``scenario_inputs`` checks the values of the one
+    scenario it builds, and ``solver.run`` the solver and probe settings.
     """
     scenarios = {}
 
@@ -492,8 +459,11 @@ def registry():
 # ---------------------------------------------------------------------------
 # execution + emission
 
-CSV_COLUMNS = ("t", "mass", "lyapunov_F", "sup_u", "inf_u", "dist_L1rho_to_E",
-               "lp_local_p", "lp_local_val", "u_at_origin")
+# (CSV column, DiagnosticsRecord attribute), in column order
+CSV_COLUMNS = (("t", "t"), ("mass", "mass"), ("lyapunov_F", "lyapunov_F"), ("sup_u", "sup_u"),
+               ("inf_u", "inf_u"), ("dist_L1rho_to_E", "dist_L1rho"),
+               ("lp_local_p", "lp_local_p"), ("lp_local_val", "lp_local_val"),
+               ("u_at_origin", "u_at_origin"))
 
 
 def _csv_text(sc, traj, medium):
@@ -507,35 +477,35 @@ def _csv_text(sc, traj, medium):
         f"# config_sha256 = {config_hash(sc)}",
         f"# medium: family={sc.medium.family} integrable={cls.integrable} "
         f"total_mass={mass_txt} decay_floor={floor_txt}",
-        ",".join(CSV_COLUMNS),
+        ",".join(column for column, _ in CSV_COLUMNS),
     ]
     for rec in traj.diagnostics:
-        row = (rec.t, rec.mass, rec.lyapunov_F, rec.sup_u, rec.inf_u,
-               rec.dist_L1rho, rec.lp_local_p, rec.lp_local_val, rec.u_at_origin)
-        lines.append(",".join(format(v, ".17g") for v in row))
+        lines.append(",".join(format(getattr(rec, attr), ".17g") for _, attr in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def scenario_inputs(sc):
-    """Validate a scenario and build what it runs: (u0, medium, stencil)."""
-    grid, _, medium = validate_scenario(sc)
-    stencil = build_stencil(sc.kernel, grid)
-    return build_initial(sc.initial, grid), medium, stencil
+    """Build what a scenario runs: (u0, medium, stencil). This is the check of
+    its values: a builder's error is a ConfigError naming its section."""
+    grid = build_grid(sc.grid)
+    return (build_initial(sc.initial, grid), build_medium(sc.medium, grid.dim),
+            build_stencil(sc.kernel, grid))
 
 
 def run_scenario(sc, out_dir=None):
     """Execute a scenario and emit its CSV (and snapshots, if requested).
 
-    Returns (trajectory, csv_path).
+    Returns (trajectory, csv_path). Nothing is written unless the run succeeds.
     """
     u0, medium, stencil = scenario_inputs(sc)
     traj = run(u0, medium, stencil, sc.solver, sc.probes)
 
+    text = _csv_text(sc, traj, medium)
     directory = out_dir or sc.outputs.directory
     os.makedirs(directory, exist_ok=True)
     csv_path = os.path.join(directory, sc.outputs.csv)
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(_csv_text(sc, traj, medium))
+        fh.write(text)
     if sc.outputs.snapshots == "last":
         t, u = traj.snapshots[-1]
         write_snapshot(os.path.join(directory, "snapshot_final.isof"), u, t)
@@ -546,7 +516,7 @@ def run_scenario(sc, out_dir=None):
 
 
 def with_param(sc, key, value):
-    """Scenario copy with one key set, parsed and validated as in a file.
+    """Scenario copy with one key set, parsed and checked as in a file.
 
     ``key`` is ``section.key`` or a bare key that only one section has;
     ``value`` is read from its text form with that key's type.

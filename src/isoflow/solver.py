@@ -11,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import diagnostics, grids
 from .grids import DomainMask, Field, _check_stencil_fits, _domain, _Operator
 from .kernels import stencil_second_moment
-from .media import classify, floor as floor_medium
+from .media import classify, default_alpha, floor as floor_medium, quadratic_growth_constant
 
 _SCHEMES = ("euler", "exponential", "picard-oracle")
 _BOUNDARIES = ("zero-extend", "mask")
@@ -263,7 +263,7 @@ def _stepper(op, rho, scheme, dt, nnz_cap=None):
 def _one_step(u, medium, stencil, scheme, dt, boundary, mask):
     """One step of the stepper for ``boundary``; a masked exponential step
     takes the sweep path, and a masked step drops the data outside the mask."""
-    _check_stencil_fits(u, stencil)
+    _check_stencil_fits(u.grid, stencil)
     op = _Operator(u.grid, stencil, _domain(u.grid, boundary, mask))
     stepper = _stepper(op, medium.sample(u.grid), scheme, dt, nnz_cap=0)
     return Field(u.grid, stepper.step(np.where(op.chi > 0, u.values, 0.0)), copy=False)
@@ -310,7 +310,7 @@ def _resolve_target(medium, u0, weights, masked, probes):
         return 0.0
     integrable = classify(medium).integrable is True
     if probes.dist_target == "e_rho" and not integrable:
-        raise SolverError("E_rho undefined: the medium is not integrable")
+        raise SolverError("E_rho undefined: dist_target e_rho needs an integrable medium")
     if masked or integrable:
         return float(np.sum(weights * u0.values) / float(np.sum(weights)))
     return 0.0
@@ -353,7 +353,7 @@ def run(u0, medium, stencil, config, probes=None):
     config.validate()
     probes = probes or Probes()
     grid = u0.grid
-    _check_stencil_fits(u0, stencil)
+    _check_stencil_fits(grid, stencil)
     medium_eff = medium
     if config.floor_alpha is not None:
         medium_eff = floor_medium(medium, config.floor_alpha)
@@ -363,35 +363,38 @@ def run(u0, medium, stencil, config, probes=None):
     rho = medium_eff.sample(grid)
     traj = Trajectory(rho=rho, mask=mask)
     record = _recorder(traj, u0, medium_eff, rho, op, probes)
-    if config.scheme == "picard-oracle":
-        # snapshots at the window ends, a window a step
-        record(0.0, u0.copy(), 0)
-        _, traj.picard_report = _picard(u0, op, rho, config.t_end, config.picard_tol,
-                                        config.dt, collect=record)
-        traj.validate()
-        return traj
+    # a non-finite state or record is a NumericalAbort naming its step, so
+    # numpy's overflow warnings on the way there would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.scheme == "picard-oracle":
+            # snapshots at the window ends, a window a step
+            record(0.0, u0.copy(), 0)
+            _, traj.picard_report = _picard(u0, op, rho, config.t_end, config.picard_tol,
+                                            config.dt, collect=record)
+            traj.validate()
+            return traj
 
-    stepper = _stepper(op, rho, config.scheme, config.dt)
-    state = np.where(op.chi > 0, u0.values, 0.0)
+        stepper = _stepper(op, rho, config.scheme, config.dt)
+        state = np.where(op.chi > 0, u0.values, 0.0)
 
-    # whole steps of dt, then one shorter step that ends at t_end exactly
-    n_steps = int(round(config.t_end / config.dt))
-    remainder = 0.0
-    if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
-        n_steps = int(config.t_end // config.dt)
-        remainder = config.t_end - n_steps * config.dt
+        # whole steps of dt, then one shorter step that ends at t_end exactly
+        n_steps = int(round(config.t_end / config.dt))
+        remainder = 0.0
+        if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
+            n_steps = int(config.t_end // config.dt)
+            remainder = config.t_end - n_steps * config.dt
 
-    last = n_steps + (remainder > 0)
-    for k in range(last + 1):
-        if k > n_steps:
-            stepper = _stepper(op, rho, config.scheme, remainder)
-        if k > 0:
-            state = stepper.step(state)
-            if not np.all(np.isfinite(state)):
-                raise NumericalAbort(k)
-        if k % config.snapshot_every == 0 or k == last:
-            record(config.t_end if k == last else k * config.dt,
-                   Field(grid, state, copy=True), k)
+        last = n_steps + (remainder > 0)
+        for k in range(last + 1):
+            if k > n_steps:
+                stepper = _stepper(op, rho, config.scheme, remainder)
+            if k > 0:
+                state = stepper.step(state)
+                if not np.all(np.isfinite(state)):
+                    raise NumericalAbort(k)
+            if k % config.snapshot_every == 0 or k == last:
+                record(config.t_end if k == last else k * config.dt,
+                       Field(grid, state, copy=True), k)
     traj.validate()
     return traj
 
@@ -433,7 +436,7 @@ def picard_solve(u0, medium, stencil, t_end, tol=1e-10, dt=1e-3, window=None,
     Returns the final field and the PicardReport.
     """
     SolverConfig(scheme="picard-oracle", dt=dt, t_end=t_end, picard_tol=tol).validate()
-    _check_stencil_fits(u0, stencil)
+    _check_stencil_fits(u0.grid, stencil)
     return _picard(u0, _Operator(u0.grid, stencil), medium.sample(u0.grid), t_end, tol, dt,
                    window, max_iter)
 
@@ -447,7 +450,12 @@ def _picard(u0, op, rho, t_end, tol, dt, window=None, max_iter=400, collect=None
     t0 = window if window is not None else 0.4 * rho0
     if not 0 < t0 < 0.5 * rho0:
         raise SolverError(f"window {t0:g} must lie in (0, rho_min/2) = (0, {0.5 * rho0:g})")
-    n_samples_cap = 10_000_000
+    # a full window's storage, checked before any window (and so by a
+    # zero-step run): no window is longer than t0
+    n_samples = (max(1, math.ceil(t0 / dt - 1e-9)) + 1) * grid.n_nodes
+    if n_samples > 10_000_000:
+        raise SolverError(f"dt={dt:g} is too small for the fixed-point oracle: a window of "
+                          f"{t0:g} stores {n_samples} samples, above its cap of 10^7")
     hN = grid.spacing ** grid.dim
 
     def norm_w(arr):
@@ -460,8 +468,6 @@ def _picard(u0, op, rho, t_end, tol, dt, window=None, max_iter=400, collect=None
     while t < t_end - 1e-12:
         tau = min(t0, t_end - t)
         nsteps = max(1, int(math.ceil(tau / dt - 1e-9)))
-        if (nsteps + 1) * state.size > n_samples_cap:
-            raise SolverError("fixed-point oracle storage cap exceeded")
         dtw = tau / nsteps
         w = np.tile(state, (nsteps + 1, 1))
         prev_diff = None
@@ -525,7 +531,6 @@ def monotone_approx_run(u0, medium, stencil, n_list, t_probe, dt=0.1,
     r = grid.radius()
     trajectories = []
     radii, alpha_used = [], []
-    from .media import default_alpha
     for i, n in enumerate(n_list):
         alpha = alphas[i] if alphas is not None else default_alpha(medium, n)
         chi = (r <= n * (1 + 1e-12)).astype(float)
@@ -547,7 +552,6 @@ def monotone_approx_run(u0, medium, stencil, n_list, t_probe, dt=0.1,
     envelope_margin = None
     cls = classify(medium)
     if cls.decay_floor is not None:
-        from .media import quadratic_growth_constant
         eta2 = quadratic_growth_constant(medium)
         lam = stencil_second_moment(stencil) / eta2
         quad = 1.0 + r * r

@@ -4,11 +4,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from isoflow import ConfigError, SolverConfig, read_snapshot, registry, run_scenario
+from isoflow import ConfigError, SolverConfig, SolverError, read_snapshot, registry, run_scenario
 from isoflow import cli
 from isoflow.cli import main
+from isoflow.kernels import Kernel
 from isoflow.scenario import (config_hash, emit_scenario, parse_scenario_text,
-                              with_param)
+                              scenario_inputs, with_param)
 
 GOOD_CFG = """
 [scenario]
@@ -85,17 +86,25 @@ class TestParse:
         with pytest.raises(ConfigError):
             parse_scenario_text(bad)
 
-    def test_e_rho_request_on_nonintegrable_medium(self):
+    def test_e_rho_request_on_nonintegrable_medium(self, tmp_path, capsys):
+        # the format is fine; the run's distance target rejects it
         bad = GOOD_CFG.replace("exponent = 2.0", "exponent = 1.0")
         bad = bad.replace("lp_radius = 3.0", "lp_radius = 3.0\ndist_target = e_rho")
-        with pytest.raises(ConfigError, match="E_rho undefined"):
-            parse_scenario_text(bad)
+        assert parse_scenario_text(bad).probes.dist_target == "e_rho"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(bad)
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "E_rho undefined: dist_target e_rho needs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_stencil_grid_misfit(self):
+        # the format is fine; the stencil is checked where it is built
         bad = GOOD_CFG.replace("half_extent = 10.0", "half_extent = 2.0")
         bad = bad.replace("mask_radius = 10.0", "mask_radius = 2.0")
-        with pytest.raises(ConfigError, match="truncation radius"):
-            parse_scenario_text(bad)
+        sc = parse_scenario_text(bad)
+        with pytest.raises(ConfigError, match=r"truncation radius 5.73 exceeds the grid "
+                                              r"size 2L=4 \(field kernel\)"):
+            scenario_inputs(sc)
 
     def test_bad_number_names_line(self):
         bad = GOOD_CFG.replace("dt = 0.2", "dt = fast")
@@ -276,27 +285,39 @@ class TestCLI:
         assert "isothermalization" in capsys.readouterr().out
 
     def test_run_named_scenario_validates_it_once(self, tmp_path, monkeypatch):
-        # registry() validates nothing: run_scenario validates the one it runs
+        # registry() and parse_scenario check no values: run_scenario builds,
+        # and so checks, the one scenario it runs, named or read from a file,
+        # with one Kernel, whose truncation radius discretize solves once
         import isoflow.scenario as scenario_mod
-        calls, validate = [], scenario_mod.validate_scenario
-        monkeypatch.setattr(scenario_mod, "validate_scenario",
-                            lambda sc: calls.append(sc.name) or validate(sc))
-        assert main(["run", "existence-uniqueness", "--out", str(tmp_path)]) == 0
-        assert calls == ["existence-uniqueness"]
+        calls = []
+        inputs, grid, solve = (scenario_mod.scenario_inputs, scenario_mod.build_grid,
+                               Kernel.truncation_radius)
+        monkeypatch.setattr(scenario_mod, "scenario_inputs",
+                            lambda sc: calls.append(sc.name) or inputs(sc))
+        monkeypatch.setattr(scenario_mod, "build_grid",
+                            lambda spec: calls.append("grid") or grid(spec))
+        monkeypatch.setattr(Kernel, "truncation_radius",
+                            lambda kern, tol: calls.append("radius") or solve(kern, tol))
+        cfg = tmp_path / "smoke.cfg"
+        cfg.write_text(GOOD_CFG)
+        assert main(["run", "existence-uniqueness", "--out", str(tmp_path / "a")]) == 0
+        assert main(["run", str(cfg), "--out", str(tmp_path / "b")]) == 0
+        assert calls == ["existence-uniqueness", "grid", "radius", "smoke", "grid", "radius"]
 
     @pytest.mark.parametrize("argv", [["run", "bad"], ["sweep", "bad", "--param", "dt=0.2"],
                                       ["verify", "lyapunov", "bad"]],
                              ids=["run", "sweep", "verify-lyapunov"])
     def test_every_command_that_runs_a_scenario_validates_it(self, argv, tmp_path,
                                                               monkeypatch, capsys):
-        # a mask wider than the grid: validate_scenario names the field; an
-        # unvalidated run would fail later, in DomainMask, naming none
+        # a mask wider than the grid: DomainMask rejects it, naming the key,
+        # before anything is written
         sc = registry()["flux-decay"]
         bad = replace(sc, solver=replace(sc.solver, mask_radius=30.0))
         monkeypatch.setattr("isoflow.cli.registry", lambda: {"bad": bad})
-        assert main(argv + ["--out", str(tmp_path)]) == 2
-        assert "mask_radius exceeds the grid half extent (field solver)" in \
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "mask_radius 30 exceeds half_extent 25" in \
             capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_parser_is_built_once_and_keeps_no_state(self, tmp_path, capsys):
         # a leaked --out would make `verify nullspace` a config error
@@ -344,9 +365,28 @@ class TestSchemaTable:
     @pytest.mark.parametrize("key, value", [("dist_target", "bogus"),
                                             ("outputs.snapshots", "some"),
                                             ("initial.family", "cauchy")])
-    def test_with_param_validates_like_a_file(self, key, value):
-        with pytest.raises(ConfigError):
-            with_param(parse_scenario_text(GOOD_CFG), key, value)
+    def test_with_param_validates_like_a_file(self, key, value, tmp_path, monkeypatch,
+                                              capsys):
+        # a value swept in fails as the same value in a file does, and a
+        # sweep writes nothing: with_param checks the format (the snapshots
+        # mode, the family), the zero-step run before the sweep the rest
+        monkeypatch.setenv("ISOFLOW_THREADS", "1")
+        name = key.split(".")[-1]
+        bad = {"dist_target": GOOD_CFG + f"{name} = {value}\n",
+               "outputs.snapshots": GOOD_CFG.replace("csv = diag.csv",
+                                                     f"csv = diag.csv\n{name} = {value}"),
+               "initial.family": GOOD_CFG.replace("family = gaussian-bump",
+                                                  f"family = {value}")}[key]
+        cfg, bad_cfg = tmp_path / "smoke.cfg", tmp_path / "bad.cfg"
+        cfg.write_text(GOOD_CFG)
+        bad_cfg.write_text(bad)
+        assert main(["run", str(bad_cfg), "--out", str(tmp_path / "out")]) == 2
+        from_file = capsys.readouterr().err
+        assert main(["sweep", str(cfg), "--param", f"{key}={value}",
+                     "--out", str(tmp_path / "sw")]) == 2
+        assert capsys.readouterr().err == from_file
+        assert name in from_file
+        assert not (tmp_path / "out").exists() and not (tmp_path / "sw").exists()
 
     @pytest.mark.parametrize("field, value", [("scenario.name", "a # b"),
                                               ("scenario.name", "a\nb"),
@@ -405,8 +445,40 @@ class TestSweepCLI:
         assert self._sweep(tmp_path, monkeypatch, "mask_radius=5", cfg_text) == 2
         assert "mask_radius" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
-        with pytest.raises(ConfigError, match="mask_radius"):
-            with_param(registry()["quadratic-growth"], "mask_radius", "5.0")
+        # with_param checks the format alone; the run rejects the value
+        varied = with_param(registry()["quadratic-growth"], "mask_radius", "5.0")
+        with pytest.raises(SolverError, match="mask_radius"):
+            run_scenario(varied, out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_grid_value_fails_before_any_run(self, tmp_path, monkeypatch, capsys):
+        # 3 points keep only the origin of the stencil; 501 comes first and
+        # would run to completion if values were checked one run at a time
+        monkeypatch.setenv("ISOFLOW_THREADS", "1")
+        assert main(["sweep", "flux-decay", "--param", "grid.points_per_axis=501,3",
+                     "--out", str(tmp_path / "sw")]) == 2
+        assert "stencil keeps only the origin" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    def test_picard_window_over_its_storage_cap_fails_before_any_run(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        # a window of 0.12 at dt = 1e-7 stores 1.2e6 time slices of 41 nodes
+        monkeypatch.setenv("ISOFLOW_THREADS", "1")
+        assert main(["sweep", "existence-uniqueness", "--param", "dt=1e-3,1e-7",
+                     "--out", str(tmp_path / "sw")]) == 2
+        assert "dt=1e-07 is too small for the fixed-point oracle" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    def test_unstable_euler_fails_before_any_run(self, tmp_path, monkeypatch, capsys):
+        # dt = 0.25 is far above stability_dt = min rho for Euler
+        sc = with_param(registry()["isothermalization"], "t_end", "0.5")
+        cfg = tmp_path / "iso.cfg"
+        cfg.write_text(emit_scenario(sc))
+        monkeypatch.setenv("ISOFLOW_THREADS", "1")
+        assert main(["sweep", str(cfg), "--param", "scheme=exponential,euler",
+                     "--out", str(tmp_path / "sw")]) == 2
+        assert "stability_dt" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
 
 
 @pytest.mark.parametrize("old, new, message", [
@@ -451,7 +523,7 @@ def test_bad_probe_is_a_config_error(tmp_path, capsys, probe):
     lines = [ln for ln in GOOD_CFG.splitlines() if not ln.startswith(key)]
     cfg.write_text("\n".join(lines) + f"\n{probe}\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "field probes" in capsys.readouterr().err
+    assert f"config error: {key} " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -464,12 +536,13 @@ def _small_flux_decay():
     return sc
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_record_is_a_numerical_abort(tmp_path, capsys):
-    # the state stays finite, but F and the L^2 probe of height 1e300 overflow
+    # the state stays finite, but F and the L^2 probe of height 1e300
+    # overflow: the abort names them, and numpy warns of nothing first
     cfg = tmp_path / "huge.cfg"
     cfg.write_text(emit_scenario(with_param(_small_flux_decay(), "initial.height", "1e300")))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "non-finite lyapunov_F" in err and "lp_local_val" in err
     assert "at step 0" in err
@@ -490,12 +563,31 @@ def test_initial_parameter_outside_its_domain_is_a_config_error(
               "indicator": {"radius": 2.0}, "quadratic": {}}[family]
     sc = replace(sc, initial=replace(sc.initial, family=family, params=params))
     with pytest.raises(ConfigError, match=rf"field initial\.{key}\)"):
-        with_param(sc, f"initial.{key}", value)
+        scenario_inputs(with_param(sc, f"initial.{key}", value))
     bad = replace(sc, initial=replace(sc.initial, params={**params, key: float(value)}))
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(emit_scenario(bad))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"field initial.{key})" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("section, family, params, message", [
+    ("initial", "quadratic", {"power": 400.0}, "field values must be finite (field initial)"),
+    ("medium", "gaussian-decay", {"amplitude": 1.0, "sigma": 0.5},
+     "Medium(gaussian-decay, dim=1, {'amplitude': 1.0, 'sigma': 0.5}): density must be "
+     "finite and strictly positive"),
+], ids=["quadratic-overflows", "gaussian-decay-underflows"])
+def test_values_that_leave_floats_name_their_section(tmp_path, capsys, section, family,
+                                                      params, message):
+    # (1 + r^2)^400 overflows at r = 25, and rho = exp(-r^2/2 sigma^2) underflows to 0
+    sc = registry()["flux-decay"]
+    sc = replace(sc, **{section: replace(getattr(sc, section), family=family, params=params)})
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(emit_scenario(sc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -513,13 +605,16 @@ def test_good_initial_table_runs(tmp_path):
     ("amplitude = 1.0", "amplitude = inf", "medium"),
     ("half_extent = 10.0", "half_extent = nan", "grid"),
     ("half_extent = 10.0", "half_extent = inf", "grid"),
+    ("half_extent = 10.0", "half_extent = 1e300", "grid"),
 ], ids=["sigma-nan", "sigma-inf", "exponent-nan", "amplitude-inf",
-        "half_extent-nan", "half_extent-inf"])
+        "half_extent-nan", "half_extent-inf", "half_extent-squared-overflows"])
 def test_non_finite_parameter_names_its_section(tmp_path, capsys, old, new, section):
+    # 1e300 is finite, but its square is not (RuntimeWarnings are errors here)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(GOOD_CFG.replace(old, new))
     assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"field {section}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # the set-up of the `lyapunov` verify suite, written as a scenario file

@@ -11,7 +11,7 @@ from isoflow import ConfigError, Probes, SolverConfig, classify
 from isoflow.scenario import (_FAMILIES, GridSpec, InitialSpec, KernelSpec,
                               MediumSpec, OutputSpec, Scenario, _format_value,
                               _sections, build_medium, emit_scenario,
-                              parse_scenario_text, validate_scenario, with_param)
+                              parse_scenario_text, with_param)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -84,10 +84,8 @@ def scenarios(draw):
                     dist_target=draw(st.sampled_from(targets)))
     outputs = OutputSpec(draw(texts), draw(texts),
                          draw(st.sampled_from(["none", "last", "all"])))
-    sc = Scenario(draw(texts), kernel, medium, grid, initial, solver, outputs, probes,
-                  asserted=draw(st.booleans()))
-    validate_scenario(sc)
-    return sc
+    return Scenario(draw(texts), kernel, medium, grid, initial, solver, outputs, probes,
+                    asserted=draw(st.booleans()))
 
 
 @SETTINGS

@@ -221,7 +221,7 @@ class TestRun:
         assert counts[2] == counts[20] == counts[21] == 1
 
     def test_unknown_dist_target_rejected(self, setup_1d):
-        # validate_scenario rejects it in files; run rejects it from the API
+        # run owns this check, for scenario files and the API alike
         g, s, m = setup_1d
         cfg = SolverConfig(scheme="exponential", dt=0.1, t_end=0.2)
         with pytest.raises(SolverError, match="dist_target"):
@@ -378,16 +378,17 @@ class TestRun:
             run(Field.constant(g, 1.0), m, s, cfg)
         assert err.value.step_index == 3
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scheme", ["euler", "picard-oracle"])
     def test_non_finite_record_aborts_naming_its_columns(self, setup_1d, scheme):
-        # finite data whose squares overflow: the state stays finite, F does not
+        # finite data whose squares overflow: the state stays finite, F does
+        # not, and numpy warns of nothing before the abort
         g, s, m = setup_1d
         u0 = Field.constant(g, 1e300)
         cfg = SolverConfig(scheme=scheme, dt=stability_dt(m, g) * 0.99, t_end=1.0,
                            floor_alpha=0.01 if scheme == "picard-oracle" else None)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalAbort, match="lyapunov_F") as err:
-                run(u0, m, s, cfg)
+        with pytest.raises(NumericalAbort, match="lyapunov_F") as err:
+            run(u0, m, s, cfg)
         assert err.value.step_index == 0
         assert "in the record at step 0" in str(err.value)
         assert "mass" not in str(err.value)
