@@ -93,12 +93,6 @@ def stability_dt(medium, grid):
     return float(np.min(medium.sample(grid)))
 
 
-def _check_euler_dt(rho, dt):
-    limit = float(rho.min())
-    if not 0 <= dt <= limit * (1 + 1e-12):
-        raise SolverError(f"dt={dt:g} lies outside [0, stability_dt={limit:g}]")
-
-
 # ---------------------------------------------------------------------------
 # steppers: one per operator, on the run's operator and sampled rho
 
@@ -237,17 +231,27 @@ class _ExchangeStepper:
         return state + flux / self.rho
 
 
-def _stepper(op, rho, scheme, dt, nnz_cap=None):
-    """The stepper of an Euler or exponential step of length ``dt``: the
-    exchange for a masked exponential step, the FFT stepper for any other."""
-    masked = op.mask is not None
+def _check_step(op, rho, scheme, dt):
+    """SolverError for a step of length ``dt`` that no stepper on ``op`` takes: a
+    mask node with no in-domain kernel mass, or a dt outside (0, inf), or for
+    Euler outside [0, stability_dt]."""
     # FFT rounding leaves about 1e-17 of the weight sum where the mass is 0
-    if masked and np.any(op.kappa[op.mask.inside] <= 1e-12 * op.stencil.weight_sum()):
+    tiny = 1e-12 * op.stencil.weight_sum()
+    if op.mask is not None and np.any(op.kappa[op.mask.inside] <= tiny):
         raise SolverError("mask contains a node with zero in-domain kernel mass")
     if scheme == "euler":
-        _check_euler_dt(rho[op.chi > 0], dt)
+        limit = float(rho[op.chi > 0].min())
+        if not 0 <= dt <= limit * (1 + 1e-12):
+            raise SolverError(f"dt={dt:g} lies outside [0, stability_dt={limit:g}]")
     elif not 0 < dt < math.inf:
         raise SolverError(f"dt must be positive and finite, got {dt!r}")
+
+
+def _stepper(op, rho, scheme, dt, nnz_cap=None):
+    """The stepper of an Euler or exponential step of length ``dt``, checked
+    first: the exchange for a masked exponential step, the FFT stepper for any other."""
+    _check_step(op, rho, scheme, dt)
+    masked = op.mask is not None
     if masked and scheme == "exponential":
         return _ExchangeStepper(op, rho, dt, nnz_cap)
     if masked:
@@ -374,7 +378,7 @@ def run(u0, medium, stencil, config, probes=None):
             traj.validate()
             return traj
 
-        stepper = _stepper(op, rho, config.scheme, config.dt)
+        _check_step(op, rho, config.scheme, config.dt)   # a zero-step run builds no stepper
         state = np.where(op.chi > 0, u0.values, 0.0)
 
         # whole steps of dt, then one shorter step that ends at t_end exactly
@@ -386,8 +390,9 @@ def run(u0, medium, stencil, config, probes=None):
 
         last = n_steps + (remainder > 0)
         for k in range(last + 1):
-            if k > n_steps:
-                stepper = _stepper(op, rho, config.scheme, remainder)
+            if k == 1 or k > n_steps:
+                dt = remainder if k > n_steps else config.dt
+                stepper = _stepper(op, rho, config.scheme, dt)
             if k > 0:
                 state = stepper.step(state)
                 if not np.all(np.isfinite(state)):
@@ -450,12 +455,11 @@ def _picard(u0, op, rho, t_end, tol, dt, window=None, max_iter=400, collect=None
     t0 = window if window is not None else 0.4 * rho0
     if not 0 < t0 < 0.5 * rho0:
         raise SolverError(f"window {t0:g} must lie in (0, rho_min/2) = (0, {0.5 * rho0:g})")
-    # a full window's storage, checked before any window (and so by a
-    # zero-step run): no window is longer than t0
-    n_samples = (max(1, math.ceil(t0 / dt - 1e-9)) + 1) * grid.n_nodes
+    longest = min(t0, t_end)   # the first window, whose storage is checked before it
+    n_samples = (max(1, math.ceil(longest / dt - 1e-9)) + 1) * grid.n_nodes
     if n_samples > 10_000_000:
         raise SolverError(f"dt={dt:g} is too small for the fixed-point oracle: a window of "
-                          f"{t0:g} stores {n_samples} samples, above its cap of 10^7")
+                          f"{longest:g} stores {n_samples} samples, above its cap of 10^7")
     hN = grid.spacing ** grid.dim
 
     def norm_w(arr):
@@ -529,8 +533,7 @@ def monotone_approx_run(u0, medium, stencil, n_list, t_probe, dt=0.1,
         raise SolverError("n_list must be increasing with at least two entries")
     grid = u0.grid
     r = grid.radius()
-    trajectories = []
-    radii, alpha_used = [], []
+    trajectories, alpha_used = [], []
     for i, n in enumerate(n_list):
         alpha = alphas[i] if alphas is not None else default_alpha(medium, n)
         chi = (r <= n * (1 + 1e-12)).astype(float)
@@ -539,7 +542,6 @@ def monotone_approx_run(u0, medium, stencil, n_list, t_probe, dt=0.1,
                            boundary="zero-extend", snapshot_every=snapshot_every,
                            floor_alpha=alpha)
         trajectories.append(run(u0_n, medium, stencil, cfg))
-        radii.append(float(n))
         alpha_used.append(float(alpha))
 
     max_violation = 0.0
@@ -548,10 +550,8 @@ def monotone_approx_run(u0, medium, stencil, n_list, t_probe, dt=0.1,
             gap = float(np.max(ulo.values - uhi.values))
             max_violation = max(max_violation, gap)
 
-    envelope_ok = None
-    envelope_margin = None
-    cls = classify(medium)
-    if cls.decay_floor is not None:
+    envelope_ok = envelope_margin = None
+    if classify(medium).decay_floor is not None:
         eta2 = quadratic_growth_constant(medium)
         lam = stencil_second_moment(stencil) / eta2
         quad = 1.0 + r * r
@@ -563,7 +563,7 @@ def monotone_approx_run(u0, medium, stencil, n_list, t_probe, dt=0.1,
                 worst = max(worst, float(np.max(u.values - bound)))
         envelope_ok = worst <= 1e-9 * A
         envelope_margin = worst
-    return trajectories, MonotoneReport(radii, alpha_used, max_violation,
+    return trajectories, MonotoneReport([float(n) for n in n_list], alpha_used, max_violation,
                                         envelope_ok, envelope_margin)
 
 

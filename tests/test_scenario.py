@@ -4,7 +4,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from isoflow import ConfigError, SolverConfig, SolverError, read_snapshot, registry, run_scenario
+from isoflow import (ConfigError, SolverConfig, SolverError, read_snapshot, registry, run,
+                     run_scenario)
 from isoflow import cli
 from isoflow.cli import main
 from isoflow.kernels import Kernel
@@ -137,6 +138,15 @@ class TestRegistry:
 
     def test_open_problem_not_asserted(self):
         assert registry()["open-problem-explore"].asserted is False
+
+    @pytest.mark.parametrize("name", sorted(registry()))
+    def test_builtin_passes_every_check_of_a_run(self, name):
+        # registry() checks nothing: build each built-in and make the zero-step
+        # run that `isoflow sweep` makes before its first run
+        sc = registry()[name]
+        u0, medium, stencil = scenario_inputs(sc)
+        traj = run(u0, medium, stencil, replace(sc.solver, t_end=0.0), sc.probes)
+        assert len(traj.diagnostics) == 1
 
     def test_isothermalization_medium_integrable(self):
         from isoflow.scenario import build_medium
@@ -460,14 +470,16 @@ class TestSweepCLI:
         assert "stencil keeps only the origin" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 
-    def test_picard_window_over_its_storage_cap_fails_before_any_run(self, tmp_path,
-                                                                      monkeypatch, capsys):
-        # a window of 0.12 at dt = 1e-7 stores 1.2e6 time slices of 41 nodes
-        monkeypatch.setenv("ISOFLOW_THREADS", "1")
-        assert main(["sweep", "existence-uniqueness", "--param", "dt=1e-3,1e-7",
-                     "--out", str(tmp_path / "sw")]) == 2
+    def test_picard_window_over_its_storage_cap_fails_before_its_first_window(
+            self, tmp_path, capsys):
+        # a window of 0.12 at dt = 1e-7 stores 1.2e6 time slices of 41 nodes;
+        # the storage depends on t_end, so a sweep's zero-step run cannot see it
+        sc = with_param(registry()["existence-uniqueness"], "dt", "1e-7")
+        cfg = tmp_path / "eu.cfg"
+        cfg.write_text(emit_scenario(sc))
+        assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
         assert "dt=1e-07 is too small for the fixed-point oracle" in capsys.readouterr().err
-        assert not (tmp_path / "sw").exists()
+        assert not (tmp_path / "out").exists()
 
     def test_unstable_euler_fails_before_any_run(self, tmp_path, monkeypatch, capsys):
         # dt = 0.25 is far above stability_dt = min rho for Euler

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -335,6 +336,26 @@ class TestRun:
                               m, s, dt, boundary=boundary, mask=mask).values
                 assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1.0), \
                     (dim, boundary, scheme, path)
+
+    def test_zero_step_run_checks_its_step_but_builds_no_stepper(self, setup_1d,
+                                                                  monkeypatch):
+        # a t_end = 0 run (isoflow sweep's check of a value) makes every step
+        # check and records u0, with no band, CSR or sweep buffers built
+        g, s, m = setup_1d
+        made = []
+        picker = solver._stepper
+        monkeypatch.setattr(solver, "_stepper", lambda *a, **k: made.append(picker(*a, **k))
+                            or made[-1])
+        u0 = Field.constant(g, 1.0)
+        cfg = SolverConfig(scheme="exponential", dt=0.7, t_end=0.0, boundary="mask",
+                           mask_radius=8.0)
+        assert len(run(u0, m, s, cfg).diagnostics) == 1
+        assert made == []
+        unstable = replace(cfg, scheme="euler", dt=2.0 * stability_dt(m, g))
+        with pytest.raises(SolverError, match="stability_dt"):
+            run(u0, m, s, unstable)
+        assert len(run(u0, m, s, replace(cfg, t_end=0.7)).diagnostics) == 2
+        assert [st.path for st in made] == ["band"]
 
     @pytest.mark.parametrize("scheme", ["euler", "exponential"])
     def test_masked_state_is_positive_zero_off_the_mask(self, setup_1d, monkeypatch,
@@ -823,6 +844,17 @@ class TestPicard:
         assert 0.0 < report.max_ratio() <= report.max_bound()
         for w in report.windows:
             assert w.t_length <= 0.5 * 0.3
+
+    def test_storage_cap_counts_the_first_window_only(self):
+        # a full window of 0.12 at dt = 1e-7 would store 1.2e6 slices of 41
+        # nodes, above the 10^7-sample cap; t_end = 1e-6 needs 11 slices
+        g = Grid(1, 5.0, 41)
+        s = discretize(Kernel.gaussian(1.0), g.spacing, trunc_tol=1e-8)
+        m = floor(Medium.power_decay(1.0, 2.0), 0.3)
+        final, report = picard_solve(Field.constant(g, 1.0), m, s, 1e-6, dt=1e-7)
+        assert [w.t_length for w in report.windows] == [1e-6]
+        with pytest.raises(SolverError, match="a window of 0.12 stores 49200041 samples"):
+            picard_solve(Field.constant(g, 1.0), m, s, 1.0, dt=1e-7)
 
     def test_window_validation(self):
         g = Grid(1, 5.0, 41)
