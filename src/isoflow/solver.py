@@ -232,9 +232,7 @@ class _ExchangeStepper:
 
 
 def _check_step(op, rho, scheme, dt):
-    """SolverError for a step of length ``dt`` that no stepper on ``op`` takes: a
-    mask node with no in-domain kernel mass, or a dt outside (0, inf), or for
-    Euler outside [0, stability_dt]."""
+    """Raise SolverError for a step of length ``dt`` that no stepper on ``op`` takes."""
     # FFT rounding leaves about 1e-17 of the weight sum where the mass is 0
     tiny = 1e-12 * op.stencil.weight_sum()
     if op.mask is not None and np.any(op.kappa[op.mask.inside] <= tiny):
@@ -550,8 +548,10 @@ def monotone_approx_run(u0, medium, stencil, n_list, t_probe, dt=0.1,
             gap = float(np.max(ulo.values - uhi.values))
             max_violation = max(max_violation, gap)
 
-    envelope_ok = envelope_margin = None
-    if classify(medium).decay_floor is not None:
+    envelope_ok = None
+    envelope_margin = None
+    cls = classify(medium)
+    if cls.decay_floor is not None:
         eta2 = quadratic_growth_constant(medium)
         lam = stencil_second_moment(stencil) / eta2
         quad = 1.0 + r * r
