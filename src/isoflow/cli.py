@@ -1,14 +1,12 @@
 """Command line interface: run scenarios, sweep parameters, verify suites.
 
 Exit codes: 0 success, 2 config error, 3 numerical abort, 4 verification
-failure. ISOFLOW_THREADS caps the worker processes of ``isoflow sweep``; it
-does not touch the exchange stepper's one helper thread.
+failure. ``isoflow sweep`` runs its values in turn, in this one process.
 """
 
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import cache
 
@@ -41,12 +39,6 @@ def _cmd_run(args):
     return EXIT_OK
 
 
-def _sweep_worker(payload):
-    varied, out_dir = payload
-    _, csv_path = run_scenario(varied, out_dir=out_dir)
-    return csv_path
-
-
 def _cmd_sweep(args):
     sc = _load_scenario(args.scenario)
     if "=" not in args.param:
@@ -63,15 +55,9 @@ def _cmd_sweep(args):
     for varied, _ in jobs:
         u0, medium, stencil = scenario_inputs(varied)
         run(u0, medium, stencil, replace(varied.solver, t_end=0.0), varied.probes)
-    env_cap = os.environ.get("ISOFLOW_THREADS")
-    workers = min(len(jobs), int(env_cap) if env_cap else (os.cpu_count() or 1))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            paths = list(pool.map(_sweep_worker, jobs))
-    else:
-        paths = [_sweep_worker(job) for job in jobs]
-    for path in paths:
-        print(f"wrote {path}")
+    for varied, out_dir in jobs:
+        _, csv_path = run_scenario(varied, out_dir=out_dir)
+        print(f"wrote {csv_path}")
     return EXIT_OK
 
 

@@ -26,8 +26,11 @@ class NumericalAbort(SolverError):
     """A step produced non-finite values, in its state or in its record."""
 
     def __init__(self, step_index, what="values detected"):
-        super().__init__(f"non-finite {what} at step {step_index}")
+        super().__init__(step_index, what)   # unpickling calls the class on args
         self.step_index = step_index
+
+    def __str__(self):
+        return "non-finite {1} at step {0}".format(*self.args)
 
 
 @dataclass

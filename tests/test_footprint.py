@@ -1,6 +1,6 @@
 """Which scipy modules a process loads: ``import isoflow`` loads numpy and the
-standard library only, and each scipy module loads inside the one path that
-calls it."""
+standard library only, with no multiprocessing module, and each scipy module
+loads inside the one path that calls it."""
 
 import json
 import os
@@ -44,6 +44,7 @@ def exp_run(dim, M, mask_radius):
     return run(bump(g), Medium.power_decay(1.0, 1.0, dim), s, cfg)
 
 after_import = loaded()
+processes = sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing")
 """
 
 _NUMPY_ONLY = _PREAMBLE + """
@@ -52,7 +53,7 @@ exp_run(1, 41, None)
 exp_run(2, 41, None)
 grids.PAIR_CAP = 0
 exp_run(2, 41, 4.0)
-print(json.dumps([after_import, loaded(), paths]))
+print(json.dumps([after_import, loaded(), paths, processes]))
 """
 
 _BAND = _PREAMBLE + """
@@ -78,7 +79,8 @@ def _heavy(modules):
 
 
 def test_import_root_finding_fft_runs_and_the_sweep_load_no_scipy_module():
-    after_import, after_runs, paths = _modules(_NUMPY_ONLY)
+    after_import, after_runs, paths, processes = _modules(_NUMPY_ONLY)
+    assert processes == []   # isoflow.cli runs a sweep's values in this process
     assert paths == ["sweep"]
     assert after_import == []
     assert _heavy(after_runs) == set()

@@ -219,23 +219,13 @@ class TestCLI:
     def test_unknown_scenario_exit_code(self):
         assert main(["run", "not-a-scenario"]) == 2
 
-    def test_sweep_writes_each_value(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ISOFLOW_THREADS", "1")
+    def test_sweep_writes_each_value(self, tmp_path):
         cfg = tmp_path / "smoke.cfg"
         cfg.write_text(GOOD_CFG)
         code = main(["sweep", str(cfg), "--param", "dt=0.2,0.1",
                      "--out", str(tmp_path / "sw")])
         assert code == 0
         assert (tmp_path / "sw" / "sweep-dt-0.2" / "diag.csv").exists()
-        assert (tmp_path / "sw" / "sweep-dt-0.1" / "diag.csv").exists()
-
-    def test_sweep_multiworker(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ISOFLOW_THREADS", "2")
-        cfg = tmp_path / "smoke.cfg"
-        cfg.write_text(GOOD_CFG)
-        code = main(["sweep", str(cfg), "--param", "dt=0.2,0.1",
-                     "--out", str(tmp_path / "sw")])
-        assert code == 0
         assert (tmp_path / "sw" / "sweep-dt-0.1" / "diag.csv").exists()
 
     def test_numerical_abort_exit_code(self, monkeypatch, capsys):
@@ -248,6 +238,32 @@ class TestCLI:
         monkeypatch.setattr(cli_mod, "run_scenario", boom)
         assert main(["run", "flux-decay"]) == 3
         assert "step 17" in capsys.readouterr().err
+
+    def test_sweep_abort_follows_the_values_written_before_it(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # a stepper that yields NaN for dt = 0.1 alone: the sweep prints the
+        # dt = 0.2 file it wrote, then the abort exactly as `run` prints it
+        from isoflow import solver
+        real = solver._stepper
+
+        def nan_at_small_dt(op, rho, scheme, dt, nnz_cap=None):
+            stepper = real(op, rho, scheme, dt, nnz_cap)
+            if dt == 0.1:
+                stepper.step = lambda values: np.full_like(values, np.nan)
+            return stepper
+
+        monkeypatch.setattr(solver, "_stepper", nan_at_small_dt)
+        cfg, small = tmp_path / "smoke.cfg", tmp_path / "small.cfg"
+        cfg.write_text(GOOD_CFG)
+        small.write_text(GOOD_CFG.replace("dt = 0.2", "dt = 0.1"))
+        assert main(["run", str(small), "--out", str(tmp_path / "out")]) == 3
+        from_run = capsys.readouterr().err
+        assert main(["sweep", str(cfg), "--param", "dt=0.2,0.1",
+                     "--out", str(tmp_path / "sw")]) == 3
+        out, err = capsys.readouterr()
+        assert out == f"wrote {tmp_path / 'sw' / 'sweep-dt-0.2' / 'diag.csv'}\n"
+        assert err == from_run == "numerical abort: non-finite values detected at step 1\n"
+        assert not (tmp_path / "sw" / "sweep-dt-0.1").exists()
 
     def test_verify_failure_exit_code(self, monkeypatch, capsys):
         import isoflow.cli as cli_mod
@@ -375,12 +391,10 @@ class TestSchemaTable:
     @pytest.mark.parametrize("key, value", [("dist_target", "bogus"),
                                             ("outputs.snapshots", "some"),
                                             ("initial.family", "cauchy")])
-    def test_with_param_validates_like_a_file(self, key, value, tmp_path, monkeypatch,
-                                              capsys):
+    def test_with_param_validates_like_a_file(self, key, value, tmp_path, capsys):
         # a value swept in fails as the same value in a file does, and a
         # sweep writes nothing: with_param checks the format (the snapshots
         # mode, the family), the zero-step run before the sweep the rest
-        monkeypatch.setenv("ISOFLOW_THREADS", "1")
         name = key.split(".")[-1]
         bad = {"dist_target": GOOD_CFG + f"{name} = {value}\n",
                "outputs.snapshots": GOOD_CFG.replace("csv = diag.csv",
@@ -415,44 +429,42 @@ class TestSchemaTable:
 
 
 class TestSweepCLI:
-    def _sweep(self, tmp_path, monkeypatch, param, cfg_text=GOOD_CFG):
-        monkeypatch.setenv("ISOFLOW_THREADS", "1")
+    def _sweep(self, tmp_path, param, cfg_text=GOOD_CFG):
         cfg = tmp_path / "smoke.cfg"
         cfg.write_text(cfg_text)
         return main(["sweep", str(cfg), "--param", param, "--out", str(tmp_path / "sw")])
 
-    def test_int_key_writes_a_parseable_scenario(self, tmp_path, monkeypatch):
-        assert self._sweep(tmp_path, monkeypatch, "snapshot_every=5") == 0
+    def test_int_key_writes_a_parseable_scenario(self, tmp_path):
+        assert self._sweep(tmp_path, "snapshot_every=5") == 0
         varied = with_param(parse_scenario_text(GOOD_CFG), "snapshot_every", "5")
         assert parse_scenario_text(emit_scenario(varied)) == varied
         header = (tmp_path / "sw" / "sweep-snapshot_every-5" / "diag.csv").read_text()
         assert f"# config_sha256 = {config_hash(varied)}" in header
 
-    def test_string_key(self, tmp_path, monkeypatch):
+    def test_string_key(self, tmp_path):
         cfg_text = GOOD_CFG.replace("dt = 0.2", "dt = 0.005").replace("t_end = 2.0",
                                                                       "t_end = 0.02")
-        assert self._sweep(tmp_path, monkeypatch, "scheme=euler,exponential",
+        assert self._sweep(tmp_path, "scheme=euler,exponential",
                            cfg_text) == 0
         for scheme in ("euler", "exponential"):
             assert (tmp_path / "sw" / f"sweep-scheme-{scheme}" / "diag.csv").exists()
 
-    def test_directories_named_by_token(self, tmp_path, monkeypatch):
-        assert self._sweep(tmp_path, monkeypatch, "dt=0.1234567,0.1234568") == 0
+    def test_directories_named_by_token(self, tmp_path):
+        assert self._sweep(tmp_path, "dt=0.1234567,0.1234568") == 0
         for tok in ("0.1234567", "0.1234568"):
             assert (tmp_path / "sw" / f"sweep-dt-{tok}" / "diag.csv").exists()
 
-    def test_bad_value_fails_before_any_run(self, tmp_path, monkeypatch, capsys):
-        assert self._sweep(tmp_path, monkeypatch, "dist_target=auto,bogus") == 2
+    def test_bad_value_fails_before_any_run(self, tmp_path, capsys):
+        assert self._sweep(tmp_path, "dist_target=auto,bogus") == 2
         assert "dist_target" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 
-    def test_mask_radius_under_zero_extend_fails_before_any_run(self, tmp_path, monkeypatch,
-                                                                  capsys):
+    def test_mask_radius_under_zero_extend_fails_before_any_run(self, tmp_path, capsys):
         # zero-extend would ignore the radius, so no value of it is accepted
         cfg_text = GOOD_CFG.replace("boundary = mask\nmask_radius = 10.0\n",
                                     "boundary = zero-extend\n")
         assert parse_scenario_text(cfg_text).solver.mask_radius is None
-        assert self._sweep(tmp_path, monkeypatch, "mask_radius=5", cfg_text) == 2
+        assert self._sweep(tmp_path, "mask_radius=5", cfg_text) == 2
         assert "mask_radius" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
         # with_param checks the format alone; the run rejects the value
@@ -461,10 +473,9 @@ class TestSweepCLI:
             run_scenario(varied, out_dir=str(tmp_path / "out"))
         assert not (tmp_path / "out").exists()
 
-    def test_bad_grid_value_fails_before_any_run(self, tmp_path, monkeypatch, capsys):
+    def test_bad_grid_value_fails_before_any_run(self, tmp_path, capsys):
         # 3 points keep only the origin of the stencil; 501 comes first and
         # would run to completion if values were checked one run at a time
-        monkeypatch.setenv("ISOFLOW_THREADS", "1")
         assert main(["sweep", "flux-decay", "--param", "grid.points_per_axis=501,3",
                      "--out", str(tmp_path / "sw")]) == 2
         assert "stencil keeps only the origin" in capsys.readouterr().err
@@ -481,12 +492,11 @@ class TestSweepCLI:
         assert "dt=1e-07 is too small for the fixed-point oracle" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_unstable_euler_fails_before_any_run(self, tmp_path, monkeypatch, capsys):
+    def test_unstable_euler_fails_before_any_run(self, tmp_path, capsys):
         # dt = 0.25 is far above stability_dt = min rho for Euler
         sc = with_param(registry()["isothermalization"], "t_end", "0.5")
         cfg = tmp_path / "iso.cfg"
         cfg.write_text(emit_scenario(sc))
-        monkeypatch.setenv("ISOFLOW_THREADS", "1")
         assert main(["sweep", str(cfg), "--param", "scheme=exponential,euler",
                      "--out", str(tmp_path / "sw")]) == 2
         assert "stability_dt" in capsys.readouterr().err
