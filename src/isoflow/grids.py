@@ -291,11 +291,6 @@ class _Operator:
     def kappa(self):
         return self.chi * self.convolve(self.chi)
 
-    @cached_property
-    def pairs(self):
-        """CSR pair weights between distinct in-domain nodes (_pair_matrix)."""
-        return _pair_matrix(self.stencil, self.chi > 0)
-
 
 def convolve_fft(f, stencil):
     """Zero-extend convolution through zero-padded real FFTs.
@@ -365,43 +360,13 @@ def lp_local_distance(f, c, p, radius):
 # masked operator assembly
 
 # Largest pair count (mask nodes x stencil offsets) whose exchange is stored:
-# masked_exchange_matrix raises above it and the exchange stepper sweeps.
+# masked_exchange_matrix raises above it, and a 1-D exchange stepper sweeps.
 PAIR_CAP = 20_000_000
 
 
 def _flat_shifts(offsets, shape):
     """Flat row-major index shift of each offset on a grid of ``shape``."""
     return offsets @ np.array([math.prod(shape[d + 1:]) for d in range(len(shape))])
-
-
-def _pair_matrix(stencil, inside):
-    """CSR matrix W[x, x - k] = w_k for every nonzero stencil offset k and
-    every pair of nodes x, x - k of the boolean grid array ``inside``,
-    numbered by grid node (flat, row-major). Self pairs are never kept.
-
-    Assembled row by row with int32 indices and no sort: the offsets are
-    visited in descending flat shift, so the columns x - k of each row come
-    out ascending, and a neighbour k of node x is tested on ``inside`` padded
-    by the stencil's halfwidths, so no neighbour leaves the padded array.
-    """
-    from scipy import sparse   # here, so only a run that stores its pairs loads it
-    keep = np.any(stencil.offsets != 0, axis=1)
-    shifts = _flat_shifts(stencil.offsets[keep], inside.shape)
-    order = np.argsort(-shifts)
-    offsets, weights = stencil.offsets[keep][order], stencil.weights[keep][order]
-    hw = np.max(np.abs(offsets), axis=0, initial=0)
-    padded = np.pad(inside, [(h, h) for h in hw.tolist()])
-    coords = np.nonzero(inside)
-    nodes = np.flatnonzero(inside).astype(np.int32)
-    at = np.ravel_multi_index(tuple(c + h for c, h in zip(coords, hw)), padded.shape)
-    ok = padded.ravel()[at.astype(np.int32)[:, None]
-                        - _flat_shifts(offsets, padded.shape).astype(np.int32)]
-    indices = (nodes[:, None] - shifts[order].astype(np.int32))[ok]
-    counts = np.zeros(inside.size + 1, dtype=np.int32)
-    counts[nodes + 1] = np.count_nonzero(ok, axis=1)
-    return sparse.csr_matrix((np.broadcast_to(weights, ok.shape)[ok], indices,
-                              np.cumsum(counts, dtype=np.int32)),
-                             shape=(inside.size, inside.size))
 
 
 def masked_exchange_matrix(stencil, mask):
@@ -411,15 +376,30 @@ def masked_exchange_matrix(stencil, mask):
     the diagonal is zero (the self weight is reported separately by the
     stencil). These are the pairs a masked run exchanges over, restricted
     to mask nodes. Raises when the assembly would exceed ``PAIR_CAP``
-    entries.
+    entries. Assembled one offset at a time, as a CSR matrix with sorted
+    columns.
     """
     if stencil.dim != mask.grid.dim:
         raise GridError("stencil and mask dimensions differ")
     est = mask.n_nodes * len(stencil)
     if est > PAIR_CAP:
         raise GridError(f"masked operator too large to materialize ({est} > {PAIR_CAP})")
-    nodes = np.flatnonzero(mask.inside)
-    return _pair_matrix(stencil, mask.inside)[nodes][:, nodes]
+    from scipy import sparse   # here, so only a caller of this function loads it
+    inside = mask.inside
+    number = np.zeros(inside.shape, dtype=int)   # mask nodes numbered row-major
+    number[inside] = np.arange(mask.n_nodes)
+    # seeded empty: an origin-only stencil has no pair
+    rows, cols, data = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
+    for offset, w in zip(stencil.offsets, stencil.weights):
+        if np.any(offset != 0):
+            dst, src = _slice_pair(inside.shape, offset)
+            ok = inside[dst] & inside[src]
+            rows.append(number[dst][ok])
+            cols.append(number[src][ok])
+            data.append(np.full(np.count_nonzero(ok), w))
+    return sparse.csr_matrix((np.concatenate(data), (np.concatenate(rows),
+                                                     np.concatenate(cols))),
+                             shape=(mask.n_nodes, mask.n_nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -128,23 +128,20 @@ class _ExchangeStepper:
     The exchange sum_k w_k min(r(x), r(x-k)) (u(x-k) - u(x)) at the
     integrating-factor rate r = r_eff is no convolution; r is zero off the
     mask, which cuts every pair that leaves the domain. ``path`` says how the
-    exchange is applied. Mask nodes x stencil offsets within ``nnz_cap``
-    (default grids.PAIR_CAP) store it: in 1-D as a symmetric band of
+    exchange is applied. In 1-D, mask nodes x stencil offsets within
+    ``nnz_cap`` (default grids.PAIR_CAP) store it as a symmetric band of
     half-width K, the stencil's, applied by one BLAS dsbmv a step
-    (``"band"``); in 2-D as a CSR matrix, the run operator's pair matrix
-    weighted by min(r) (one sparse matvec a step, ``"csr"``). Above the cap
-    nothing per pair is stored and each step sweeps the positive offsets as
-    flat shifts of the grid, split in two fixed halves on two threads
-    (``"sweep"``, see _exchange).
+    (``"band"``). Otherwise, and always in 2-D, nothing per pair is stored
+    and each step sweeps the positive offsets as flat shifts of the grid,
+    split in two fixed halves on two threads (``"sweep"``, see _exchange).
     """
 
     def __init__(self, op, rho, dt, nnz_cap=None):
         grid, stencil, inside = op.grid, op.stencil, op.mask.inside
         self.rho = rho
         nnz_cap = grids.PAIR_CAP if nnz_cap is None else nnz_cap
-        self.path = "sweep"
-        if op.mask.n_nodes * len(stencil) <= nnz_cap:
-            self.path = "band" if grid.dim == 1 else "csr"
+        pairs = op.mask.n_nodes * len(stencil)
+        self.path = "band" if grid.dim == 1 and pairs <= nnz_cap else "sweep"
         r_eff = np.zeros(grid.shape)
         r_eff[inside] = _effective_step(rho[inside], op.kappa[inside], dt)
         if self.path == "band":
@@ -166,16 +163,6 @@ class _ExchangeStepper:
             band *= column
             band[K] = -dsbmv(K, 1.0, band, np.ones(grid.n_nodes))
             self.K, self.band, self.dsbmv = K, band, dsbmv
-            return
-        if self.path == "csr":
-            from scipy import sparse   # here, so only a run on the CSR path loads it
-            P = op.pairs
-            coo = P.tocoo(copy=False)
-            r = r_eff.ravel()
-            data = coo.data * np.minimum(r[coo.row], r[coo.col])
-            # shares the index arrays of op.pairs: only the weights are per step size
-            self.C = sparse.csr_matrix((data, P.indices, P.indptr), shape=P.shape)
-            self.cdiag = np.asarray(self.C.sum(axis=1)).reshape(grid.shape)
             return
         # pad every row with halfwidths[-1] zeros: each offset is then one
         # flat shift, and a neighbour past the end of a row lands in padding
@@ -227,8 +214,6 @@ class _ExchangeStepper:
     def step(self, state):
         if self.path == "band":
             flux = self.dsbmv(self.K, 1.0, self.band, state)
-        elif self.path == "csr":
-            flux = (self.C @ state.ravel()).reshape(state.shape) - self.cdiag * state
         else:
             flux = self._exchange(state)
         return state + flux / self.rho
@@ -429,31 +414,31 @@ class PicardReport:
         return max(w.contraction_bound for w in self.windows)
 
 
-def picard_solve(u0, medium, stencil, t_end, tol=1e-10, dt=1e-3, window=None,
-                 max_iter=400):
+def picard_solve(u0, medium, stencil, t_end, tol=1e-10, dt=1e-3):
     """Solve by iterating the integral fixed-point map on short time windows.
 
-    On each window [0, t0] with t0 below half the medium minimum, the map
-    w -> w0 + (1/rho) * cumulative-sum of (J*w - w) (left-endpoint rule) is a
-    contraction; windows are concatenated until t_end. J* is a run's FFT
-    convolution, batched over a window's time slices (10^7 samples at most).
-    ``dt``, ``t_end`` and ``tol`` obey SolverConfig.validate, or SolverError.
-    The medium must be bounded away from zero (pass a floored medium).
-    Returns the final field and the PicardReport.
+    On each window [0, t0] with t0 = 0.4 min(rho), below half the medium
+    minimum, the map w -> w0 + (1/rho) * cumulative-sum of (J*w - w)
+    (left-endpoint rule) is a contraction; windows are concatenated until
+    t_end, and a window that does not reach ``tol`` in 400 iterations raises
+    SolverError. J* is a run's FFT convolution, batched over a window's time
+    slices (10^7 samples at most). ``dt``, ``t_end`` and ``tol`` obey
+    SolverConfig.validate, or SolverError. The medium must be bounded away
+    from zero (pass a floored medium). Returns the final field and the
+    PicardReport.
     """
     SolverConfig(scheme="picard-oracle", dt=dt, t_end=t_end, picard_tol=tol).validate()
     _check_stencil_fits(u0.grid, stencil)
-    return _picard(u0, _Operator(u0.grid, stencil), medium.sample(u0.grid), t_end, tol, dt,
-                   window, max_iter)
+    return _picard(u0, _Operator(u0.grid, stencil), medium.sample(u0.grid), t_end, tol, dt)
 
 
-def _picard(u0, op, rho, t_end, tol, dt, window=None, max_iter=400, collect=None):
+def _picard(u0, op, rho, t_end, tol, dt, collect=None):
     """picard_solve on the operator ``op`` (zero-extend) and the sampled ``rho``;
     ``collect(t, u, window)`` is called at the end of each window."""
     grid = u0.grid
     rho = rho.ravel()
     rho0 = float(rho.min())
-    t0 = window if window is not None else 0.4 * rho0
+    t0 = 0.4 * rho0   # 0 when min rho is subnormal: no window would advance
     if not 0 < t0 < 0.5 * rho0:
         raise SolverError(f"window {t0:g} must lie in (0, rho_min/2) = (0, {0.5 * rho0:g})")
     longest = min(t0, t_end)   # the first window, whose storage is checked before it
@@ -478,7 +463,7 @@ def _picard(u0, op, rho, t_end, tol, dt, window=None, max_iter=400, collect=None
         prev_diff = None
         max_ratio = 0.0
         iterations = 0
-        for it in range(max_iter):
+        for it in range(400):
             # J* on every time slice at once: one batched FFT convolution
             G = op.convolve(w[:-1].reshape((nsteps,) + grid.shape)).reshape(nsteps, -1) - w[:-1]
             incr = np.cumsum(G, axis=0) * dtw
@@ -495,7 +480,7 @@ def _picard(u0, op, rho, t_end, tol, dt, window=None, max_iter=400, collect=None
             prev_diff = diff
         else:
             raise SolverError(
-                f"fixed-point iteration did not reach tol={tol:g} in {max_iter} "
+                f"fixed-point iteration did not reach tol={tol:g} in 400 "
                 "iterations; tol is likely below the discretization floor")
         report.windows.append(PicardWindow(t, tau, iterations, max_ratio,
                                            2.0 * t0 / rho0))

@@ -51,7 +51,6 @@ _NUMPY_ONLY = _PREAMBLE + """
 quadratic_growth_constant(Medium.power_decay(1.0, 1.5))
 exp_run(1, 41, None)
 exp_run(2, 41, None)
-grids.PAIR_CAP = 0
 exp_run(2, 41, 4.0)
 print(json.dumps([after_import, loaded(), paths, processes]))
 """
@@ -61,8 +60,10 @@ exp_run(1, 41, 4.0)
 print(json.dumps([after_import, loaded(), paths]))
 """
 
-_CSR = _PREAMBLE + """
-exp_run(2, 41, 4.0)
+_PAIR_MATRIX = _PREAMBLE + """
+g = Grid(2, 5.0, 41)
+grids.masked_exchange_matrix(discretize(Kernel.gaussian(1.0, dim=2), g.spacing),
+                             grids.DomainMask(g, 4.0))
 print(json.dumps([after_import, loaded(), paths]))
 """
 
@@ -86,12 +87,13 @@ def test_import_root_finding_fft_runs_and_the_sweep_load_no_scipy_module():
     assert _heavy(after_runs) == set()
 
 
-@pytest.mark.parametrize("code, path, needed", [(_BAND, "band", "scipy.linalg"),
-                                                (_CSR, "csr", "scipy.sparse")],
-                         ids=["band", "csr"])
-def test_a_stored_exchange_loads_only_its_own_module(code, path, needed):
+@pytest.mark.parametrize("code, made, needed", [(_BAND, ["band"], "scipy.linalg"),
+                                                (_PAIR_MATRIX, [], "scipy.sparse")],
+                         ids=["band", "pair-matrix"])
+def test_a_stored_exchange_loads_only_its_own_module(code, made, needed):
+    # the band of a 1-D run, and the pair matrix, which no run builds
     after_import, after_run, paths = _modules(code)
-    assert paths == [path]
+    assert paths == made
     assert after_import == []
     assert needed in _heavy(after_run)
     assert not _heavy(after_run) & {"scipy.fft", "scipy.special", "scipy.optimize"}

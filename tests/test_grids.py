@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse, special
+from scipy import special
 
 from isoflow import (DomainMask, Field, Grid, GridError, Kernel, Medium, convolve_direct,
                      convolve_fft, discretize, integrate, lp_local_distance, lyapunov_F,
                      read_snapshot, step_euler, step_exponential,
                      stencil_second_moment, write_snapshot)
 from isoflow import grids
-from isoflow.grids import _Operator, _slice_pair, masked_exchange_matrix
+from isoflow.grids import _Operator, masked_exchange_matrix
 
 
 def brute_convolve_zero_extend(values, stencil):
@@ -165,48 +165,19 @@ class TestConvolveDirect:
             convolve_direct(Field.zeros(g), s)
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_pair_matrix_with_self_pairs_is_direct_convolution(dim):
-    # the pair matrix behind the CSR stepper and masked_exchange_matrix: with
-    # the self weight on the diagonal it is J* under zero-extend
+@pytest.mark.parametrize("dim, band", [(1, None), (2, None), (2, (0.6, 1.0))],
+                         ids=["1", "2", "2-split"])
+def test_pair_matrix_with_self_pairs_is_direct_convolution(dim, band):
+    # with the self weight on the diagonal, masked_exchange_matrix is J* in
+    # mask mode, at the mask nodes
     g = Grid(1, 5.0, 81) if dim == 1 else Grid(2, 2.0, 21)
     s = discretize(Kernel.gaussian(0.5, dim=dim), g.spacing, trunc_tol=1e-8)
+    mask = DomainMask(g, 0.8 * g.half_extent, exclude_band=band)
     u = Field(g, np.random.default_rng(9).standard_normal(g.shape))
-    W = _Operator(g, s).pairs.toarray()
-    W[np.diag_indices(g.n_nodes)] = s.self_weight()
-    want = convolve_direct(u, s).values.ravel()
-    assert np.max(np.abs(W @ u.values.ravel() - want)) <= 1e-12 * np.max(np.abs(want))
-
-
-def _pair_matrix_by_offset(stencil, inside):
-    # the pair matrix as it was first assembled: COO blocks, one per offset,
-    # converted (and so sorted) by scipy
-    node = np.arange(inside.size).reshape(inside.shape)
-    rows, cols, data = [], [], []
-    for offset, w in zip(stencil.offsets, stencil.weights):
-        if np.all(offset == 0):
-            continue
-        dst, src = _slice_pair(inside.shape, offset)
-        ok = inside[dst] & inside[src]
-        rows.append(node[dst][ok])
-        cols.append(node[src][ok])
-        data.append(np.full(int(ok.sum()), w))
-    return sparse.csr_matrix((np.concatenate(data), (np.concatenate(rows),
-                                                     np.concatenate(cols))),
-                             shape=(inside.size, inside.size))
-
-
-@pytest.mark.parametrize("dim, band", [(1, None), (1, (1.0, 2.5)), (2, None),
-                                       (2, (1.2, 2.0))],
-                         ids=["1d", "1d-split", "2d", "2d-split"])
-def test_pair_matrix_equals_the_per_offset_assembly(dim, band):
-    g = Grid(1, 5.0, 81) if dim == 1 else Grid(2, 3.0, 31)
-    s = discretize(Kernel.gaussian(0.5, dim=dim), g.spacing, trunc_tol=1e-8)
-    inside = DomainMask(g, 3.0, exclude_band=band).inside
-    got, want = grids._pair_matrix(s, inside), _pair_matrix_by_offset(s, inside)
-    for name in ("data", "indices", "indptr"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    W = masked_exchange_matrix(s, mask).toarray()
+    W[np.diag_indices(mask.n_nodes)] = s.self_weight()
+    want = convolve_direct(u, s, boundary="mask", mask=mask).values[mask.inside]
+    assert np.max(np.abs(W @ u.values[mask.inside] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("call", [

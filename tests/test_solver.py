@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import blas
 
 import isoflow
@@ -183,13 +184,18 @@ class TestStepExponential:
                                       decay * u + (1.0 - decay) * op.convolve(u))
 
 
-# (boundary, scheme, grids.PAIR_CAP, the path the run's stepper takes) per dim
+# (boundary, scheme, grids.PAIR_CAP, the path the run's stepper takes) per
+# dim, each path once: a 2-D masked exponential run sweeps at any cap
 _STEPPER_PATHS = {dim: [("zero-extend", "euler", grids.PAIR_CAP, "fft"),
                         ("zero-extend", "exponential", grids.PAIR_CAP, "fft"),
-                        ("mask", "euler", grids.PAIR_CAP, "fft"),
-                        ("mask", "exponential", grids.PAIR_CAP, stored),
-                        ("mask", "exponential", 0, "sweep")]
-                  for dim, stored in ((1, "band"), (2, "csr"))}
+                        ("mask", "euler", grids.PAIR_CAP, "fft")] + exchange
+                  for dim, exchange in (
+                      (1, [("mask", "exponential", grids.PAIR_CAP, "band"),
+                           ("mask", "exponential", 0, "sweep")]),
+                      (2, [("mask", "exponential", grids.PAIR_CAP, "sweep")]))}
+
+# the nnz_cap of each distinct masked exponential path: band and sweep in 1-D
+_EXCHANGE_CAPS = {1: (None, 0), 2: (None,)}
 
 
 def _stepper_setups(setup_1d):
@@ -240,7 +246,7 @@ class TestRun:
         # and no pair matrix: a 1-D mask run stores its exchange as a band,
         # remainder step or not, and the Picard oracle applies J* by the FFT
         g, s, m = setup_1d
-        calls = {"_fft_plan": 0, "_pair_matrix": 0}
+        calls = {"_fft_plan": 0, "masked_exchange_matrix": 0}
 
         def counting(name, fn):
             def wrapped(*args, **kwargs):
@@ -258,7 +264,7 @@ class TestRun:
                            mask_radius=10.0 if boundary == "mask" else None,
                            snapshot_every=every)
         run(u0, m, s, cfg)
-        assert calls == {"_fft_plan": 1, "_pair_matrix": 0}
+        assert calls == {"_fft_plan": 1, "masked_exchange_matrix": 0}
 
     def test_constant_diagnostics_flat(self, setup_1d):
         g, s, m = setup_1d
@@ -341,7 +347,7 @@ class TestRun:
     def test_zero_step_run_checks_its_step_but_builds_no_stepper(self, setup_1d,
                                                                   monkeypatch):
         # a t_end = 0 run (isoflow sweep's check of a value) makes every step
-        # check and records u0, with no band, CSR or sweep buffers built
+        # check and records u0, with no band or sweep buffers built
         g, s, m = setup_1d
         made = []
         picker = solver._stepper
@@ -362,8 +368,9 @@ class TestRun:
     def test_masked_state_is_positive_zero_off_the_mask(self, setup_1d, monkeypatch,
                                                         scheme):
         # run snapshots on each masked path of the scheme (FFT for Euler;
-        # band or CSR, and sweep, for exponential) and a one-shot step, from
-        # data of both signs: off the mask every value is +0.0, never -0.0
+        # band and sweep in 1-D, sweep in 2-D, for exponential) and a
+        # one-shot step, from data of both signs: off the mask every value is
+        # +0.0, never -0.0
         for dim, (g, s, m), mask_r in _stepper_setups(setup_1d):
             mask = DomainMask(g, 0.5 * mask_r)
             u0 = Field(g, np.cos(sum(g.coords())) - 0.5)
@@ -488,24 +495,24 @@ def test_zero_extend_steps_match_direct_convolution(dim):
         assert np.max(np.abs(got.values - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_masked_euler_builds_no_pair_matrix(monkeypatch):
-    # 2-D, where an exponential run at this size stores the exchange as CSR
-    def refuse(*args):
+def test_masked_runs_build_no_pair_matrix(monkeypatch):
+    # 2-D, under the pair cap: no masked run or one-shot of either scheme
+    # calls masked_exchange_matrix or assembles any CSR pair matrix
+    def refuse(*args, **kwargs):
         raise AssertionError("pair matrix built")
 
-    monkeypatch.setattr(grids, "_pair_matrix", refuse)
+    monkeypatch.setattr(grids, "masked_exchange_matrix", refuse)
+    monkeypatch.setattr(sparse, "csr_matrix", refuse)
     g = Grid(2, 4.0, 41)
     s = discretize(Kernel.gaussian(0.6, dim=2), g.spacing, trunc_tol=1e-8)
     m = Medium.power_decay(1.0, 2.0, dim=2)
     u0 = Field(g, np.random.default_rng(3).random(g.shape))
-    dt = 0.5 * stability_dt(m, g)
-    cfg = SolverConfig(scheme="euler", dt=dt, t_end=3 * dt, boundary="mask",
-                       mask_radius=3.5, snapshot_every=1)
-    run(u0, m, s, cfg)
-    step_euler(u0, m, s, dt, boundary="mask", mask=DomainMask(g, 3.5))
-    with pytest.raises(AssertionError, match="pair matrix built"):
-        run(u0, m, s, SolverConfig(scheme="exponential", dt=0.1, t_end=0.1,
-                                   boundary="mask", mask_radius=3.5))
+    for scheme, dt in (("euler", 0.5 * stability_dt(m, g)), ("exponential", 0.1)):
+        cfg = SolverConfig(scheme=scheme, dt=dt, t_end=3 * dt, boundary="mask",
+                           mask_radius=3.5, snapshot_every=1)
+        run(u0, m, s, cfg)
+        stepfn = step_euler if scheme == "euler" else step_exponential
+        stepfn(u0, m, s, dt, boundary="mask", mask=DomainMask(g, 3.5))
 
 
 def test_isolated_mask_node_without_self_weight_rejected():
@@ -564,7 +571,10 @@ def test_band_equals_the_per_offset_loop(case):
     assert np.array_equal(stepper.band, _band_by_offset(s, r_eff))
 
 
-@pytest.fixture(params=[(1, None), (1, (2.0, 5.0)), (2, None), (2, (1.5, 2.6))],
+_SWEEP_CASES_1D = [(1, None), (1, (2.0, 5.0))]
+
+
+@pytest.fixture(params=_SWEEP_CASES_1D + [(2, None), (2, (1.5, 2.6))],
                 ids=["1d", "1d-split", "2d", "2d-split"])
 def sweep_case(request):
     dim, band = request.param
@@ -579,30 +589,41 @@ def sweep_case(request):
     return g, s, m, mask, u0
 
 
-class TestMaskedSweep:
-    """The flat-shift sweep (forced with nnz_cap=0) against the stored
-    exchange: the band in 1-D, CSR in 2-D."""
+def _weighted_exchange_step(op, rho, dt, u0):
+    # the masked exponential step at the mask nodes, x + (C x - rowsum(C) x)/rho
+    # with C = W min(r_i, r_j) and W = masked_exchange_matrix
+    inside = op.mask.inside
+    r = solver._effective_step(rho[inside], op.kappa[inside], dt)
+    C = masked_exchange_matrix(op.stencil, op.mask).tocoo()
+    C.data *= np.minimum(r[C.row], r[C.col])
+    x = u0[inside]
+    return x + (C @ x - np.asarray(C.sum(axis=1)).ravel() * x) / rho[inside]
 
+
+class TestMaskedSweep:
+    """The exchange stepper's paths: the band (1-D, default cap) and the
+    flat-shift sweep (forced with nnz_cap=0 in 1-D, the only path in 2-D),
+    against each other and against masked_exchange_matrix weighted by min(r)."""
+
+    @pytest.mark.parametrize("sweep_case", _SWEEP_CASES_1D, ids=["1d", "1d-split"],
+                             indirect=True)
     def test_step_matches_the_stored_exchange(self, sweep_case):
         g, s, m, mask, u0 = sweep_case
         op, rho = _Operator(g, s, mask), m.sample(g)
         stored = _ExchangeStepper(op, rho, 0.7)
         sweep = _ExchangeStepper(op, rho, 0.7, nnz_cap=0)
-        assert (stored.path, sweep.path) == ("band" if g.dim == 1 else "csr", "sweep")
+        assert (stored.path, sweep.path) == ("band", "sweep")
         want = stored.step(u0)
         assert np.max(np.abs(sweep.step(u0) - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_stored_step_matches_weighted_exchange_matrix(self, sweep_case):
-        # x + (C x - rowsum(C) x)/rho with C = W min(r_i, r_j) over mask nodes
+        # the default path, the band in 1-D and the sweep in 2-D
         g, s, m, mask, u0 = sweep_case
         op, rho = _Operator(g, s, mask), m.sample(g)
         stepper = _ExchangeStepper(op, rho, 0.7)
+        assert stepper.path == ("band" if g.dim == 1 else "sweep")
         inside = mask.inside
-        r = solver._effective_step(rho[inside], op.kappa[inside], 0.7)
-        C = masked_exchange_matrix(s, mask).tocoo()
-        C.data *= np.minimum(r[C.row], r[C.col])
-        x = u0[inside]
-        want = x + (C @ x - np.asarray(C.sum(axis=1)).ravel() * x) / rho[inside]
+        want = _weighted_exchange_step(op, rho, 0.7, u0)
         got = stepper.step(u0)
         assert np.max(np.abs(got[inside] - want)) <= 1e-12 * np.max(np.abs(want))
         assert np.all(got[~inside] == 0.0)
@@ -626,12 +647,12 @@ class TestMaskedSweep:
 
     @pytest.mark.parametrize("scheme", ["euler", "exponential"])
     def test_mass_conserved_over_many_steps(self, sweep_case, scheme):
-        # Euler on the FFT stepper; exponential on the stored path (default
-        # cap) and on the sweep
+        # Euler once, on the FFT stepper, which reads no cap; exponential on
+        # each distinct path: band and sweep in 1-D, sweep in 2-D
         g, s, m, mask, u0 = sweep_case
         dt = 0.9 * stability_dt(m, g) if scheme == "euler" else 0.7
         op, rho = _Operator(g, s, mask), m.sample(g)
-        for nnz_cap in (None, 0):
+        for nnz_cap in (None,) if scheme == "euler" else _EXCHANGE_CAPS[g.dim]:
             stepper = _stepper(op, rho, scheme, dt, nnz_cap=nnz_cap)
             x = u0
             m0 = float(np.sum(rho * x))
@@ -640,11 +661,11 @@ class TestMaskedSweep:
             assert abs(float(np.sum(rho * x)) - m0) <= 1e-12 * m0, nnz_cap
 
     def test_positivity_and_range_at_large_dt(self, sweep_case):
-        # on the stored path (default cap) and on the sweep
+        # on each distinct path: band and sweep in 1-D, sweep in 2-D
         g, s, m, mask, u0 = sweep_case
         op, rho, inside = _Operator(g, s, mask), m.sample(g), mask.inside
         lo, hi = float(u0[inside].min()), float(u0[inside].max())
-        for nnz_cap in (None, 0):
+        for nnz_cap in _EXCHANGE_CAPS[g.dim]:
             stepper = _ExchangeStepper(op, rho, 50.0, nnz_cap=nnz_cap)
             x = u0
             for _ in range(20):
@@ -659,7 +680,7 @@ class TestMaskedSweep:
         op = _Operator(g, s, DomainMask(g, 4.0))
         rho = Medium.constant(1.0).sample(g)
         pairs = op.mask.n_nodes * len(s)
-        stored = "band" if dim == 1 else "csr"
+        stored = "band" if dim == 1 else "sweep"   # 2-D sweeps at either cap
         for cap, path in ((pairs, stored), (pairs - 1, "sweep")):
             monkeypatch.setattr(grids, "PAIR_CAP", cap)
             assert _stepper(op, rho, "exponential", 0.1).path == path
@@ -700,12 +721,12 @@ class TestMaskedSweep:
         mask = DomainMask(g, 3.0)
         op, rho = _Operator(g, s, mask), m.sample(g)
         u0 = np.random.default_rng(5).random(g.shape) * mask.indicator()
-        stored = _ExchangeStepper(op, rho, 0.7)
         sweep = _ExchangeStepper(op, rho, 0.7, nnz_cap=0)
         assert len(sweep.shifts) == n_shifts
         assert [len(h[0]) for h in sweep._halves] == [(n_shifts + 1) // 2, n_shifts // 2]
-        want = stored.step(u0)
-        assert np.max(np.abs(sweep.step(u0) - want)) <= 1e-12 * np.max(np.abs(want))
+        want = _weighted_exchange_step(op, rho, 0.7, u0)
+        got = sweep.step(u0)[mask.inside]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_helper_half_failure_is_raised(self, sweep_case, monkeypatch):
         g, s, m, mask, u0 = sweep_case
@@ -728,12 +749,11 @@ class TestMaskedSweep:
 _CPU_COUNT_RUN = """
 import os, sys
 import numpy as np
-from isoflow import Field, Grid, Kernel, Medium, SolverConfig, discretize, grids, run
+from isoflow import Field, Grid, Kernel, Medium, SolverConfig, discretize, run
 from isoflow.solver import _ExchangeStepper
 if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     assert len(os.sched_getaffinity(0)) == 1
-grids.PAIR_CAP = 0
 calls = []
 exchange = _ExchangeStepper._exchange
 _ExchangeStepper._exchange = lambda self, state: calls.append(1) or exchange(self, state)
@@ -862,11 +882,12 @@ class TestPicard:
             picard_solve(Field.constant(g, 1.0), m, s, 1.0, dt=1e-7)
 
     def test_window_validation(self):
+        # a subnormal min rho rounds the window 0.4 min rho to 0, and a
+        # window of 0 would never advance
         g = Grid(1, 5.0, 41)
         s = discretize(Kernel.gaussian(1.0), g.spacing, trunc_tol=1e-8)
-        m = floor(Medium.power_decay(1.0, 2.0), 0.3)
-        with pytest.raises(SolverError, match="window"):
-            picard_solve(Field.zeros(g), m, s, 1.0, window=0.2)
+        with pytest.raises(SolverError, match="window 0 must lie"):
+            picard_solve(Field.zeros(g), Medium.constant(5e-324), s, 1.0)
 
     def test_no_node_cap(self):
         # 20,001 nodes: a dense J* would take 3.2 GB
@@ -887,7 +908,7 @@ class TestPicard:
     def test_numbers_checked_before_any_window(self, dt, t_end, tol):
         # unchecked, t_end=inf loops forever, t_end=nan or -1 returns u0 with no
         # window, a negative dt runs one slice per window, dt=nan or 0 raises a
-        # non-SolverError, and tol <= 0 iterates max_iter times, then blames the grid
+        # non-SolverError, and tol <= 0 iterates 400 times, then blames the grid
         g = Grid(1, 5.0, 41)
         s = discretize(Kernel.gaussian(1.0), g.spacing, trunc_tol=1e-8)
         m = floor(Medium.power_decay(1.0, 2.0), 0.3)
