@@ -12,7 +12,7 @@ from functools import cache
 
 from .scenario import (ConfigError, parse_scenario, registry, run_scenario,
                        scenario_inputs, with_param)
-from .solver import NumericalAbort, SolverError, run
+from .solver import NumericalAbort, SolverError, _picard_window, run
 from .verify import (CheckResult, format_checks, lyapunov_refinement,
                      refinement_verdict, run_suite, suite_names)
 
@@ -51,10 +51,12 @@ def _cmd_sweep(args):
     jobs = [(with_param(sc, key, tok),
              os.path.join(base_dir, f"sweep-{key.split('.')[-1]}-{tok}"))
             for tok in tokens]
-    # a zero-step run of each value checks it, and writes nothing, before any run
+    # a zero-step run and the Picard window at the value's t_end check it before any run
     for varied, _ in jobs:
         u0, medium, stencil = scenario_inputs(varied)
-        run(u0, medium, stencil, replace(varied.solver, t_end=0.0), varied.probes)
+        traj = run(u0, medium, stencil, replace(varied.solver, t_end=0.0), varied.probes)
+        if varied.solver.scheme == "picard-oracle":
+            _picard_window(traj.rho.min(), varied.solver.dt, varied.solver.t_end, traj.rho.size)
     for varied, out_dir in jobs:
         _, csv_path = run_scenario(varied, out_dir=out_dir)
         print(f"wrote {csv_path}")

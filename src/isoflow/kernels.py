@@ -9,8 +9,20 @@ _SUPPORTED_DIMS = (1, 2)
 # Surface area of the unit sphere in R^N for N = 1, 2.
 _OMEGA = {1: 2.0, 2: 2.0 * math.pi}
 
-# The one length parameter of each closed-form family.
-_SCALE_PARAM = {"gaussian": "sigma", "laplace": "scale", "uniform-ball": "radius"}
+# domain -> (its test, written so that NaN fails too; the wording of its error)
+_DOMAINS = {
+    "finite": (math.isfinite, "a finite {}"),
+    "positive": (lambda v: 0 < v < math.inf, "a finite {} > 0"),
+    "nonnegative": (lambda v: 0 <= v < math.inf, "a finite {} >= 0"),
+}
+
+# family -> {param: (type if required, else default; domain or None)}
+FAMILIES = {
+    "gaussian": {"sigma": (float, "positive")},
+    "laplace": {"scale": (float, "positive")},
+    "uniform-ball": {"radius": (float, "positive")},
+    "tabulated": {"radii": (list, None), "values": (list, None)},
+}
 
 
 class KernelError(ValueError):
@@ -31,34 +43,46 @@ def _bisect(pred, lo, hi):
             lo = mid
 
 
-def _check_dim(dim):
-    if dim not in _SUPPORTED_DIMS:
-        raise KernelError(f"dim must be one of {_SUPPORTED_DIMS}, got {dim}")
+def check_params(kind, table, family, params, error):
+    """``params`` of ``family`` checked against ``table`` (shaped as FAMILIES),
+    with defaults filled in. A fault raises ``error(message, key)``, where key
+    is "family" for an unknown family, None for a missing or extra parameter,
+    and the parameter's name for a value outside its domain."""
+    if family not in table:
+        raise error(f"unknown {kind} family {family!r}", "family")
+    schema = table[family]
+    missing = sorted(k for k, (d, _) in schema.items() if isinstance(d, type) and k not in params)
+    extra = sorted(set(params) - set(schema))
+    if missing:
+        raise error(f"{kind} family {family!r} missing parameter(s) {missing}", None)
+    if extra:
+        raise error(f"{kind} family {family!r} does not take {extra}", None)
+    full = {**{k: d for k, (d, _) in schema.items() if not isinstance(d, type)}, **params}
+    for key, (_, domain) in schema.items():
+        if domain is not None and not _DOMAINS[domain][0](full[key]):
+            raise error(f"{kind} family {family!r} needs "
+                        f"{_DOMAINS[domain][1].format(key)}, got {full[key]!r}", key)
+    return full
 
 
 class Kernel:
     """A radial probability density with unit mass, zero mean and finite
     second moment.
 
-    Built-in families: ``gaussian`` (parameter sigma), ``laplace`` (scale b),
-    ``uniform-ball`` (radius R) and ``tabulated`` (piecewise-linear radial
-    samples). Instances are immutable and safe to share across threads.
+    Families and their parameters are those of FAMILIES; a ``tabulated``
+    kernel (piecewise-linear radial samples) has unit mass within ``mass_tol``.
+    Instances are immutable and safe to share across threads.
     """
 
-    def __init__(self, family, dim, **params):
-        _check_dim(dim)
+    def __init__(self, family, dim, *, mass_tol=1e-6, **params):
+        if dim not in _SUPPORTED_DIMS:
+            raise KernelError(f"dim must be one of {_SUPPORTED_DIMS}, got {dim}")
         self.family = family
         self.dim = int(dim)
-        self.params = dict(params)
-        if family in _SCALE_PARAM:
-            key = _SCALE_PARAM[family]
-            # written so that NaN fails too
-            if not 0 < params[key] < math.inf:
-                raise KernelError(f"{family} kernel needs a finite {key} > 0")
-        elif family == "tabulated":
-            self._init_tabulated(params)
-        else:
-            raise KernelError(f"unknown kernel family {family!r}")
+        self.params = check_params("kernel", FAMILIES, family, params,
+                                   lambda message, _: KernelError(message))
+        if family == "tabulated":
+            self._init_tabulated(mass_tol)
 
     # -- constructors -----------------------------------------------------
 
@@ -79,9 +103,9 @@ class Kernel:
         return cls("tabulated", dim, radii=np.asarray(radii, dtype=float),
                    values=np.asarray(values, dtype=float), mass_tol=float(mass_tol))
 
-    def _init_tabulated(self, params):
-        r = np.asarray(params["radii"], dtype=float)
-        v = np.asarray(params["values"], dtype=float)
+    def _init_tabulated(self, tol):
+        r = np.asarray(self.params["radii"], dtype=float)
+        v = np.asarray(self.params["values"], dtype=float)
         if r.ndim != 1 or r.shape != v.shape or r.size < 2:
             raise KernelError("tabulated kernel needs matching 1-d radii/values")
         if r[0] != 0.0 or np.any(np.diff(r) <= 0):
@@ -93,7 +117,6 @@ class Kernel:
         self._tab_r.setflags(write=False)
         self._tab_v.setflags(write=False)
         mass = self._tab_moment(self.dim - 1) * _OMEGA[self.dim]
-        tol = params.get("mass_tol", 1e-6)
         if abs(mass - 1.0) > tol:
             raise KernelError(
                 f"tabulated kernel mass {mass:.8g} deviates from 1 by more than {tol:g}")

@@ -8,9 +8,16 @@ import numpy as np
 
 from .diagnostics import _rho_weights
 from .grids import Field
-from .kernels import _OMEGA, _bisect
+from .kernels import _OMEGA, _SUPPORTED_DIMS, _bisect, check_params
 
-_SUPPORTED_DIMS = (1, 2)
+# family -> params, shaped as kernels.FAMILIES; the custom and floored media
+# are built from a callable or a base medium instead
+FAMILIES = {
+    "constant": {"value": (float, "positive")},
+    "power-decay": {"amplitude": (float, "positive"), "exponent": (float, "nonnegative")},
+    "gaussian-decay": {"amplitude": (float, "positive"), "sigma": (float, "positive")},
+    "exponential-decay": {"amplitude": (float, "positive"), "scale": (float, "positive")},
+}
 
 
 class MediumError(ValueError):
@@ -33,20 +40,13 @@ class Medium:
             raise MediumError(f"dim must be one of {_SUPPORTED_DIMS}, got {dim}")
         self.family = family
         self.dim = int(dim)
-        self.params = dict(params or {})
+        self.params = {} if family in ("custom", "floored") else check_params(
+            "medium", FAMILIES, family, params or {}, lambda message, _: MediumError(message))
         self._fn = fn
         self.base = base
         self.alpha = alpha
         self.tail = tail
         self._total_mass = total_mass
-        for key, value in self.params.items():
-            if not math.isfinite(value):
-                raise MediumError(f"medium parameter {key} must be finite, got {value!r}")
-        for key in ("amplitude", "value", "sigma", "scale"):
-            if key in self.params and self.params[key] <= 0:
-                raise MediumError(f"medium parameter {key} must be positive")
-        if "exponent" in self.params and self.params["exponent"] < 0:
-            raise MediumError("power-decay exponent must be nonnegative")
 
     # -- constructors -----------------------------------------------------
 
@@ -106,7 +106,9 @@ class Medium:
         return self._density(*(pts[:, d] for d in range(self.dim)))
 
     def sample(self, grid):
-        """Density values on every grid node."""
+        """Density values on every grid node of a grid of the medium's dimension."""
+        if grid.dim != self.dim:
+            raise MediumError(f"{self!r} cannot be sampled on a {grid.dim}-d grid")
         return np.broadcast_to(self._density(*grid.coords()), grid.shape).copy()
 
     def _density(self, *coords):

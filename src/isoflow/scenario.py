@@ -10,8 +10,8 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .grids import Field, Grid, GridError, _check_stencil_fits, write_snapshot
-from .kernels import Kernel, KernelError, discretize
-from .media import Medium, MediumError, classify
+from .kernels import FAMILIES as KERNEL_FAMILIES, Kernel, KernelError, check_params, discretize
+from .media import FAMILIES as MEDIUM_FAMILIES, Medium, MediumError, classify
 from .solver import Probes, SolverConfig, run
 
 
@@ -37,42 +37,18 @@ class ConfigError(ValueError):
 # keys are its dataclass's fields, parsed with their annotated types; a
 # ``params`` field expands to the parameters of the family table below.
 
-# kind -> family -> {param: type (required) or default value (optional)}. An
-# initial-family parameter is the pair (that, its domain in _DOMAINS), which
-# build_initial checks; kernel and medium constructors check their own.
+# kind -> family -> params, shaped as kernels.FAMILIES; Kernel and Medium check theirs
 _FAMILIES = {
-    "kernel": {
-        "gaussian": {"sigma": float},
-        "laplace": {"scale": float},
-        "uniform-ball": {"radius": float},
-        "tabulated": {"radii": list, "values": list},
-    },
-    "medium": {
-        "constant": {"value": float},
-        "power-decay": {"amplitude": float, "exponent": float},
-        "gaussian-decay": {"amplitude": float, "sigma": float},
-        "exponential-decay": {"amplitude": float, "scale": float},
-    },
+    "kernel": KERNEL_FAMILIES,
+    "medium": MEDIUM_FAMILIES,
     "initial": {
         "constant": {"value": (float, "finite")},
         "gaussian-bump": {"height": (float, "finite"), "width": (float, "positive")},
         "indicator": {"radius": (float, "nonnegative"), "value": (1.0, "finite")},
         "quadratic": {"power": (1.0, "finite")},
-        "table": {"radii": list, "values": list},
+        "table": {"radii": (list, None), "values": (list, None)},
     },
 }
-
-# written so that NaN fails too
-_DOMAINS = {
-    "finite": math.isfinite,
-    "positive": lambda v: 0 < v < math.inf,
-    "nonnegative": lambda v: 0 <= v < math.inf,
-}
-
-
-def _schema(kind, family):
-    """{param: type (required) or default value (optional)} of one family."""
-    return {k: d[0] if isinstance(d, tuple) else d for k, d in _FAMILIES[kind][family].items()}
 
 
 @dataclass
@@ -133,9 +109,9 @@ def _key_types(section, cls):
     types = {}
     for name, hint in get_type_hints(cls).items():
         if name == "params":
-            for family in _FAMILIES[section]:
+            for schema in _FAMILIES[section].values():
                 types.update((k, d if isinstance(d, type) else type(d))
-                             for k, d in _schema(section, family).items())
+                             for k, (d, _) in schema.items())
         elif name not in _SPECS:
             opt = [a for a in get_args(hint) if a is not type(None)]
             types[name] = opt[0] if opt else hint
@@ -159,24 +135,14 @@ _KEY_TYPES = {section: _key_types(section, cls) for section, cls in _CLASSES.ite
 
 def _family_params(kind, spec):
     """spec.params checked against the family table, with defaults filled in."""
-    if spec.family not in _FAMILIES[kind]:
-        raise ConfigError(f"unknown {kind} family {spec.family!r}", field=f"{kind}.family")
-    schema = _schema(kind, spec.family)
-    missing = {k for k, d in schema.items() if isinstance(d, type)} - set(spec.params)
-    extra = set(spec.params) - set(schema)
-    if missing:
-        raise ConfigError(f"{kind} family {spec.family!r} missing parameter(s) "
-                          f"{sorted(missing)}", field=kind)
-    if extra:
-        raise ConfigError(f"{kind} family {spec.family!r} does not take {sorted(extra)}",
-                          field=kind)
-    return {**{k: d for k, d in schema.items() if not isinstance(d, type)},
-            **spec.params}
+    return check_params(kind, _FAMILIES[kind], spec.family, spec.params,
+                        lambda message, key: ConfigError(
+                            message, field=f"{kind}.{key}" if key else kind))
 
 
 def build_medium(spec, dim):
     try:
-        return Medium(spec.family, dim, _family_params("medium", spec))
+        return Medium(spec.family, dim, spec.params)
     except MediumError as exc:
         raise ConfigError(str(exc), field="medium") from exc
 
@@ -192,10 +158,6 @@ def build_grid(spec):
 def build_initial(spec, grid):
     """u0 on grid; a parameter outside its domain or a non-finite value is a ConfigError."""
     p = _family_params("initial", spec)
-    for key, entry in _FAMILIES["initial"][spec.family].items():
-        if isinstance(entry, tuple) and not _DOMAINS[entry[1]](p[key]):
-            raise ConfigError(f"initial family {spec.family!r} needs a {entry[1]} {key}, "
-                              f"got {p[key]!r}", field=f"initial.{key}")
     r = grid.radius()
     if spec.family == "constant":
         vals = np.full(grid.shape, float(p["value"]))
@@ -225,6 +187,7 @@ def build_stencil(spec, grid):
     """The stencil on ``grid``, checked to fit it; discretize solves its radius once."""
     policy = "renormalize" if spec.renormalize else "raw"
     try:
+        # checked here too, so that no spec passes Kernel's mass_tol or dim
         kern = Kernel(spec.family, grid.dim, **_family_params("kernel", spec))
         stencil = discretize(kern, grid.spacing, policy=policy, trunc_tol=spec.trunc_tol)
         _check_stencil_fits(grid, stencil)

@@ -432,20 +432,27 @@ def picard_solve(u0, medium, stencil, t_end, tol=1e-10, dt=1e-3):
     return _picard(u0, _Operator(u0.grid, stencil), medium.sample(u0.grid), t_end, tol, dt)
 
 
+def _picard_window(rho_min, dt, t_end, n_nodes):
+    """The Picard window length 0.4 ``rho_min``, checked to lie in (0, rho_min/2)
+    and, for the first and longest window, to store at most 10^7 samples."""
+    t0 = 0.4 * rho_min   # 0 when min rho is subnormal: no window would advance
+    if not 0 < t0 < 0.5 * rho_min:
+        raise SolverError(f"window {t0:g} must lie in (0, rho_min/2) = (0, {0.5 * rho_min:g})")
+    longest = min(t0, t_end)
+    n_samples = (max(1, math.ceil(longest / dt - 1e-9)) + 1) * n_nodes
+    if n_samples > 10_000_000:
+        raise SolverError(f"dt={dt:g} is too small for the fixed-point oracle: a window of "
+                          f"{longest:g} stores {n_samples} samples, above its cap of 10^7")
+    return t0
+
+
 def _picard(u0, op, rho, t_end, tol, dt, collect=None):
     """picard_solve on the operator ``op`` (zero-extend) and the sampled ``rho``;
     ``collect(t, u, window)`` is called at the end of each window."""
     grid = u0.grid
     rho = rho.ravel()
     rho0 = float(rho.min())
-    t0 = 0.4 * rho0   # 0 when min rho is subnormal: no window would advance
-    if not 0 < t0 < 0.5 * rho0:
-        raise SolverError(f"window {t0:g} must lie in (0, rho_min/2) = (0, {0.5 * rho0:g})")
-    longest = min(t0, t_end)   # the first window, whose storage is checked before it
-    n_samples = (max(1, math.ceil(longest / dt - 1e-9)) + 1) * grid.n_nodes
-    if n_samples > 10_000_000:
-        raise SolverError(f"dt={dt:g} is too small for the fixed-point oracle: a window of "
-                          f"{longest:g} stores {n_samples} samples, above its cap of 10^7")
+    t0 = _picard_window(rho0, dt, t_end, grid.n_nodes)
     hN = grid.spacing ** grid.dim
 
     def norm_w(arr):

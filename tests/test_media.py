@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 
-from isoflow import (Field, Grid, Medium, MediumError, Probes, classify, default_alpha,
-                     floor, quadratic_growth_constant, weighted_mean)
+from isoflow import (Field, Grid, Kernel, Medium, MediumError, Probes, SolverConfig,
+                     classify, default_alpha, discretize, floor, quadratic_growth_constant,
+                     run, weighted_mean)
 from isoflow.diagnostics import _rho_weights
 from isoflow.solver import _resolve_target
 
@@ -41,6 +42,19 @@ class TestEval:
         m = Medium.custom(lambda x: x, tail="nonintegrable")
         with pytest.raises(MediumError):
             m.sample(Grid(1, 1.0, 11))
+
+    def test_sample_needs_a_grid_of_the_medium_dimension(self):
+        # a 1-D bump under a 2-D medium once ran, classed non-integrable
+        g = Grid(1, 5.0, 41)
+        u0 = Field(g, np.exp(-0.5 * g.radius() ** 2))
+        medium = Medium.power_decay(1.0, 2.0, dim=2)
+        with pytest.raises(MediumError, match=r"dim=2, .* cannot be sampled on a 1-d grid"):
+            medium.sample(g)
+        with pytest.raises(MediumError, match="cannot be sampled"):
+            run(u0, medium, discretize(Kernel.gaussian(1.0), g.spacing),
+                SolverConfig(dt=0.1, t_end=0.2))
+        with pytest.raises(MediumError, match="cannot be sampled"):
+            Medium.constant(1.0).sample(Grid(2, 4.0, 11))
 
     def test_continuity_spot_check(self):
         # no jumps beyond a Lipschitz bound on the built-ins

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -6,6 +9,7 @@ import pytest
 
 from isoflow import (ConfigError, SolverConfig, SolverError, read_snapshot, registry, run,
                      run_scenario)
+import isoflow
 from isoflow import cli
 from isoflow.cli import main
 from isoflow.kernels import Kernel
@@ -492,6 +496,15 @@ class TestSweepCLI:
         assert "dt=1e-07 is too small for the fixed-point oracle" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_picard_window_storage_of_a_later_value_fails_before_any_run(
+            self, tmp_path, capsys):
+        # dt = 1e-3 comes first and would run to completion if the storage
+        # were checked only when each value's own run starts
+        assert main(["sweep", "existence-uniqueness", "--param", "dt=1e-3,1e-7",
+                     "--out", str(tmp_path / "sw")]) == 2
+        assert "dt=1e-07 is too small for the fixed-point oracle" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
     def test_unstable_euler_fails_before_any_run(self, tmp_path, capsys):
         # dt = 0.25 is far above stability_dt = min rho for Euler
         sc = with_param(registry()["isothermalization"], "t_end", "0.5")
@@ -569,6 +582,15 @@ def test_non_finite_record_is_a_numerical_abort(tmp_path, capsys):
     assert "non-finite lyapunov_F" in err and "lp_local_val" in err
     assert "at step 0" in err
     assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["mass_tol", "dim"])
+def test_kernel_spec_cannot_pass_a_kernel_keyword(key):
+    # a spec built in code reaches Kernel(family, dim, **params) unparsed
+    sc = _small_flux_decay()
+    sc = replace(sc, kernel=replace(sc.kernel, params={"sigma": 1.0, key: 1}))
+    with pytest.raises(ConfigError, match=rf"does not take \['{key}'\] \(field kernel\)"):
+        scenario_inputs(sc)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -681,3 +703,18 @@ def test_verify_lyapunov_checks_against_the_floored_medium(tmp_path, capsys):
     assert len(worst) == 3
     for coarse, fine in zip(worst, worst[1:]):
         assert fine <= 0.6 * coarse
+
+
+def test_registry_digest_counts_every_output_and_refuses_a_used_directory(tmp_path):
+    # the script runs the src this suite imports; a used directory would mix
+    # stale files into the digest
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "registry_digest.py")
+    src = os.path.dirname(os.path.dirname(isoflow.__file__))
+    argv = [sys.executable, script, src, str(tmp_path / "digest")]
+    out = subprocess.run(argv, capture_output=True, text=True, check=True).stdout
+    files, lines, digest = out.splitlines()
+    assert (files, lines) == ("files 148", "verify lines 17 (exit 0)")
+    assert sum(len(f) for _, _, f in os.walk(tmp_path / "digest")) == 148
+    assert len(digest.split()[1]) == 64
+    refused = subprocess.run(argv, capture_output=True, text=True)
+    assert refused.returncode == 1 and "is not empty" in refused.stderr

@@ -1,5 +1,7 @@
 """Property tests for the scenario text format: emit/parse and with_param
-round trips over generated scenarios, and strings the format cannot carry."""
+round trips over generated scenarios, and strings the format cannot carry;
+and for the kernel and medium family tables that the format reads, which
+the constructors check against."""
 
 import math
 from dataclasses import replace
@@ -7,7 +9,10 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from isoflow import ConfigError, Probes, SolverConfig, classify
+from isoflow import (ConfigError, Kernel, KernelError, Medium, MediumError, Probes,
+                     SolverConfig, classify)
+from isoflow.kernels import FAMILIES as KERNEL_FAMILIES
+from isoflow.media import FAMILIES as MEDIUM_FAMILIES
 from isoflow.scenario import (_FAMILIES, GridSpec, InitialSpec, KernelSpec,
                               MediumSpec, OutputSpec, Scenario, _format_value,
                               _sections, build_medium, emit_scenario,
@@ -23,21 +28,21 @@ def _writable(text):
 
 texts = st.text(max_size=12).filter(_writable)
 finite = st.floats(-1e3, 1e3, allow_nan=False)
-# values inside each parameter domain of scenario._DOMAINS
+# values inside each parameter domain of kernels._DOMAINS
 in_domain = {"finite": finite, "positive": st.floats(1e-3, 1e3),
              "nonnegative": st.floats(0.0, 1e3)}
 
 
-def _family(draw, kind, value):
+def _family(draw, kind):
     """A family of ``kind`` with every required and some optional parameters,
-    drawn from ``value`` or, where the table gives one, the parameter's domain."""
+    each scalar drawn from its domain."""
     family = draw(st.sampled_from(sorted(_FAMILIES[kind])))
     params = {}
     for key, entry in _FAMILIES[kind][family].items():
-        default, domain = entry if isinstance(entry, tuple) else (entry, None)
+        default, domain = entry
         if isinstance(default, type) or draw(st.booleans()):
             params[key] = (draw(st.lists(finite, max_size=4)) if default is list
-                           else draw(in_domain[domain] if domain else value))
+                           else draw(in_domain[domain]))
     return family, params
 
 
@@ -47,7 +52,7 @@ def scenarios(draw):
     half = draw(st.floats(10.0, 50.0))
     grid = GridSpec(dim, half, 2 * draw(st.integers(1, 1000)) + 1)
 
-    family, params = _family(draw, "kernel", st.floats(0.05, 0.5))
+    family, params = _family(draw, "kernel")
     if family == "tabulated":
         # a linear ramp from J(0) down to J(R) = 0 with unit mass
         R = draw(st.floats(0.05, 0.5))
@@ -55,8 +60,8 @@ def scenarios(draw):
                   "values": [1.0 / R if dim == 1 else 3.0 / (math.pi * R * R), 0.0]}
     kernel = KernelSpec(family, params, trunc_tol=draw(st.floats(1e-14, 1e-4)),
                         renormalize=draw(st.booleans()))
-    medium = MediumSpec(*_family(draw, "medium", st.floats(0.1, 5.0)))
-    family, params = _family(draw, "initial", finite)
+    medium = MediumSpec(*_family(draw, "medium"))
+    family, params = _family(draw, "initial")
     if family == "table":
         # strictly increasing radii with one value each
         radii = sorted(set(draw(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=4))))
@@ -139,3 +144,54 @@ def test_unwritable_strings_raise(sc, text, field):
         emit_scenario(bad)
     with pytest.raises(ConfigError):
         with_param(sc, field, text)
+
+
+# (constructor, its error, its family table)
+_CONSTRUCTORS = [(lambda family, p: Kernel(family, 1, **p), KernelError, KERNEL_FAMILIES),
+                 (lambda family, p: Medium(family, 1, p), MediumError, MEDIUM_FAMILIES)]
+_NAMES = sorted({k for *_, table in _CONSTRUCTORS for schema in table.values()
+                 for k in schema} | {"bogus"})
+# values outside each domain, NaN and both infinities among them
+not_finite = st.sampled_from([math.nan, math.inf, -math.inf])
+outside = {"finite": not_finite,
+           "positive": st.floats(max_value=0.0) | not_finite,
+           "nonnegative": st.floats(max_value=-5e-324) | not_finite}
+# a unit-mass 1-D table for the tabulated kernel; 1.0 lies in every scalar domain
+_VALID = {"radii": [0.0, 1.0], "values": [1.0, 0.0]}
+
+
+@SETTINGS
+@given(st.data())
+def test_constructors_reject_a_missing_extra_or_out_of_domain_parameter(data):
+    # each family's valid parameters with one of them dropped, one it does not
+    # take added, or one moved outside its domain
+    for build, error, table in _CONSTRUCTORS:
+        for family, schema in table.items():
+            good = {k: _VALID.get(k, 1.0) for k in schema}
+            build(family, good)
+            required = sorted(k for k, (d, _) in schema.items() if isinstance(d, type))
+            gone = data.draw(st.sampled_from(required))
+            extra = data.draw(st.sampled_from([k for k in _NAMES if k not in schema]))
+            faults = [{k: v for k, v in good.items() if k != gone}, {**good, extra: 1.0}]
+            faults += [{**good, k: data.draw(outside[domain])}
+                       for k, (_, domain) in schema.items() if domain is not None]
+            for params in faults:
+                with pytest.raises(error):
+                    build(family, params)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Kernel("gaussian", 1), r"missing parameter\(s\) \['sigma'\]"),
+    (lambda: Kernel("uniform-ball", 1, radius=1.0, sigma=2.0), r"does not take \['sigma'\]"),
+    (lambda: Medium("power-decay", 1, {"amplitude": 1.0}), r"missing .*\['exponent'\]"),
+    (lambda: Medium("power-decay", 1, {"amplitude": 1.0, "exponent": 2.0, "bogus": 5}),
+     r"does not take \['bogus'\]"),
+    (lambda: Medium("constant", 1, {"value": 1.0, "sigma": -1.0}),
+     r"does not take \['sigma'\]"),
+], ids=["kernel-missing", "kernel-extra", "medium-missing", "medium-extra",
+        "medium-extra-out-of-domain"])
+def test_constructor_names_the_parameter_at_fault(build, message):
+    # a KeyError, an accepted input, or a check of a parameter the family
+    # does not take, before the family tables
+    with pytest.raises((KernelError, MediumError), match=message):
+        build()

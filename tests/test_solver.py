@@ -83,7 +83,7 @@ class TestStepEuler:
         # the stepper's gain J*u + decay u with decay = 1 - dt/rho
         g = Grid(dim, 4.0, 41)
         s = discretize(Kernel.gaussian(0.7, dim=dim), g.spacing, trunc_tol=1e-8)
-        rho = Medium.power_decay(1.0, 2.0).sample(g)
+        rho = Medium.power_decay(1.0, 2.0, dim=g.dim).sample(g)
         u = np.random.default_rng(dim).standard_normal(g.shape)
         op = _Operator(g, s)
         dt = 0.9 * float(rho.min())
@@ -175,7 +175,7 @@ class TestStepExponential:
     def test_zero_extend_step_is_the_decay_formula_bitwise(self, dim):
         g = Grid(dim, 4.0, 41)
         s = discretize(Kernel.gaussian(0.7, dim=dim), g.spacing, trunc_tol=1e-8)
-        rho = Medium.power_decay(1.0, 2.0).sample(g)
+        rho = Medium.power_decay(1.0, 2.0, dim=g.dim).sample(g)
         u = np.random.default_rng(dim).standard_normal(g.shape)
         op = _Operator(g, s)
         stepper = _stepper(op, rho, "exponential", 0.3)
@@ -678,7 +678,7 @@ class TestMaskedSweep:
         g = Grid(dim, 4.0, 41)
         s = discretize(Kernel.gaussian(0.6, dim=dim), g.spacing, trunc_tol=1e-8)
         op = _Operator(g, s, DomainMask(g, 4.0))
-        rho = Medium.constant(1.0).sample(g)
+        rho = Medium.constant(1.0, dim=g.dim).sample(g)
         pairs = op.mask.n_nodes * len(s)
         stored = "band" if dim == 1 else "sweep"   # 2-D sweeps at either cap
         for cap, path in ((pairs, stored), (pairs - 1, "sweep")):
