@@ -102,19 +102,18 @@ class Medium:
 
     def eval_points(self, points):
         """Density at points given as an array of shape (n, dim)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return self._density(*(pts[:, d] for d in range(self.dim)))
+        return self._density(*np.atleast_2d(np.asarray(points, dtype=float)).T)
 
     def sample(self, grid):
-        """Density values on every grid node of a grid of the medium's dimension."""
-        if grid.dim != self.dim:
-            raise MediumError(f"{self!r} cannot be sampled on a {grid.dim}-d grid")
+        """Density values on every grid node."""
         return np.broadcast_to(self._density(*grid.coords()), grid.shape).copy()
 
     def _density(self, *coords):
-        """rho at broadcastable coordinate arrays, one per axis: the one
-        evaluator behind sample and eval_points. A floored medium floors its
-        base before the positivity check."""
+        """rho at broadcastable coordinate arrays, one per axis of the medium:
+        the one evaluator behind sample and eval_points. A floored medium
+        floors its base before the positivity check."""
+        if len(coords) != self.dim:
+            raise MediumError(f"{self!r} cannot be evaluated at {len(coords)}-d points")
         base, alpha = (self.base, self.alpha) if self.family == "floored" else (self, None)
         if base.family == "custom":
             vals = np.asarray(base._fn(*coords), dtype=float)

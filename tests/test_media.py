@@ -43,18 +43,22 @@ class TestEval:
         with pytest.raises(MediumError):
             m.sample(Grid(1, 1.0, 11))
 
-    def test_sample_needs_a_grid_of_the_medium_dimension(self):
-        # a 1-D bump under a 2-D medium once ran, classed non-integrable
+    def test_points_and_grids_need_the_medium_dimension(self):
+        # a 1-D bump under a 2-D medium once ran, classed non-integrable, and a
+        # 1-D medium read the first coordinate of 2-D points alone
         g = Grid(1, 5.0, 41)
         u0 = Field(g, np.exp(-0.5 * g.radius() ** 2))
         medium = Medium.power_decay(1.0, 2.0, dim=2)
-        with pytest.raises(MediumError, match=r"dim=2, .* cannot be sampled on a 1-d grid"):
+        with pytest.raises(MediumError, match=r"dim=2, .* cannot be evaluated at 1-d points"):
             medium.sample(g)
-        with pytest.raises(MediumError, match="cannot be sampled"):
+        with pytest.raises(MediumError, match="cannot be evaluated"):
             run(u0, medium, discretize(Kernel.gaussian(1.0), g.spacing),
                 SolverConfig(dt=0.1, t_end=0.2))
-        with pytest.raises(MediumError, match="cannot be sampled"):
-            Medium.constant(1.0).sample(Grid(2, 4.0, 11))
+        for bad in (lambda: Medium.constant(1.0).sample(Grid(2, 4.0, 11)),
+                    lambda: Medium.power_decay(1.0, 2.0).eval_points([[3.0, 4.0]]),
+                    lambda: medium.eval_points([[3.0]])):
+            with pytest.raises(MediumError, match="cannot be evaluated at"):
+                bad()
 
     def test_continuity_spot_check(self):
         # no jumps beyond a Lipschitz bound on the built-ins

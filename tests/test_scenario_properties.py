@@ -33,16 +33,16 @@ in_domain = {"finite": finite, "positive": st.floats(1e-3, 1e3),
              "nonnegative": st.floats(0.0, 1e3)}
 
 
-def _family(draw, kind):
+def _family(draw, kind, value=None):
     """A family of ``kind`` with every required and some optional parameters,
-    each scalar drawn from its domain."""
+    each scalar drawn from ``value`` if given, else from its domain."""
     family = draw(st.sampled_from(sorted(_FAMILIES[kind])))
     params = {}
     for key, entry in _FAMILIES[kind][family].items():
         default, domain = entry
         if isinstance(default, type) or draw(st.booleans()):
             params[key] = (draw(st.lists(finite, max_size=4)) if default is list
-                           else draw(in_domain[domain]))
+                           else draw(in_domain[domain] if value is None else value))
     return family, params
 
 
@@ -52,7 +52,7 @@ def scenarios(draw):
     half = draw(st.floats(10.0, 50.0))
     grid = GridSpec(dim, half, 2 * draw(st.integers(1, 1000)) + 1)
 
-    family, params = _family(draw, "kernel")
+    family, params = _family(draw, "kernel", st.floats(0.05, 0.5))
     if family == "tabulated":
         # a linear ramp from J(0) down to J(R) = 0 with unit mass
         R = draw(st.floats(0.05, 0.5))
@@ -60,7 +60,7 @@ def scenarios(draw):
                   "values": [1.0 / R if dim == 1 else 3.0 / (math.pi * R * R), 0.0]}
     kernel = KernelSpec(family, params, trunc_tol=draw(st.floats(1e-14, 1e-4)),
                         renormalize=draw(st.booleans()))
-    medium = MediumSpec(*_family(draw, "medium"))
+    medium = MediumSpec(*_family(draw, "medium", st.floats(0.1, 5.0)))
     family, params = _family(draw, "initial")
     if family == "table":
         # strictly increasing radii with one value each
