@@ -369,24 +369,14 @@ def _flat_shifts(offsets, shape):
     return offsets @ np.array([math.prod(shape[d + 1:]) for d in range(len(shape))])
 
 
-def masked_exchange_matrix(stencil, mask):
-    """Symmetric pair-weight matrix over mask nodes.
-
-    W[i, j] = w(x_i - x_j) for distinct interior nodes within stencil reach;
-    the diagonal is zero (the self weight is reported separately by the
-    stencil). These are the pairs a masked run exchanges over, restricted
-    to mask nodes. Raises when the assembly would exceed ``PAIR_CAP``
-    entries. Assembled one offset at a time, as a CSR matrix with sorted
-    columns.
-    """
+def _mask_pairs(stencil, mask):
+    """(rows, cols, weights) of every pair of distinct mask nodes within
+    stencil reach, the nodes numbered row-major: W[rows, cols] = weights,
+    one offset at a time, each ordered pair once."""
     if stencil.dim != mask.grid.dim:
         raise GridError("stencil and mask dimensions differ")
-    est = mask.n_nodes * len(stencil)
-    if est > PAIR_CAP:
-        raise GridError(f"masked operator too large to materialize ({est} > {PAIR_CAP})")
-    from scipy import sparse   # here, so only a caller of this function loads it
     inside = mask.inside
-    number = np.zeros(inside.shape, dtype=int)   # mask nodes numbered row-major
+    number = np.zeros(inside.shape, dtype=int)
     number[inside] = np.arange(mask.n_nodes)
     # seeded empty: an origin-only stencil has no pair
     rows, cols, data = [np.empty(0, dtype=int)], [np.empty(0, dtype=int)], [np.empty(0)]
@@ -397,9 +387,24 @@ def masked_exchange_matrix(stencil, mask):
             rows.append(number[dst][ok])
             cols.append(number[src][ok])
             data.append(np.full(np.count_nonzero(ok), w))
-    return sparse.csr_matrix((np.concatenate(data), (np.concatenate(rows),
-                                                     np.concatenate(cols))),
-                             shape=(mask.n_nodes, mask.n_nodes))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(data)
+
+
+def masked_exchange_matrix(stencil, mask):
+    """Symmetric pair-weight matrix over mask nodes.
+
+    W[i, j] = w(x_i - x_j) for distinct interior nodes within stencil reach;
+    the diagonal is zero (the self weight is reported separately by the
+    stencil). These are the pairs a masked run exchanges over, restricted
+    to mask nodes. Raises when the assembly would exceed ``PAIR_CAP``
+    entries. A CSR matrix with sorted columns.
+    """
+    est = mask.n_nodes * len(stencil)
+    if est > PAIR_CAP:
+        raise GridError(f"masked operator too large to materialize ({est} > {PAIR_CAP})")
+    rows, cols, weights = _mask_pairs(stencil, mask)
+    from scipy import sparse   # here, so only a caller of this function loads it
+    return sparse.csr_matrix((weights, (rows, cols)), shape=(mask.n_nodes, mask.n_nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Declarative experiment descriptions: the flat sectioned config format, the
 named scenario registry, and CSV/snapshot emission."""
 
-import hashlib
 import math
 import os
 from dataclasses import MISSING, dataclass, field as dc_field, fields, is_dataclass
@@ -330,6 +329,7 @@ def emit_scenario(sc):
 
 
 def config_hash(sc):
+    import hashlib   # here: it loads OpenSSL, which nothing else needs
     return hashlib.sha256(emit_scenario(sc).encode()).hexdigest()[:12]
 
 

@@ -2,7 +2,6 @@
 steps, the fixed-point oracle, and monotone approximation drivers."""
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -204,6 +203,7 @@ class _ExchangeStepper:
         each summed in one order, so its bits depend on neither the CPU count
         nor thread timing; the helper is joined here and its error raised.
         """
+        from concurrent.futures import ThreadPoolExecutor   # here: it loads logging
         self._u.reshape(self.padded)[self.region] = state
         with ThreadPoolExecutor(1) as helper:
             second = helper.submit(self._sweep, *self._halves[1])

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import lyapunov_identity_check
-from .grids import DomainMask, Field, Grid, convolve_direct, masked_exchange_matrix
+from .grids import DomainMask, Field, Grid, _mask_pairs, convolve_direct
 from .kernels import Kernel, discretize, stencil_second_moment
 from .media import (Medium, MediumError, classify, floor as floor_medium,
                     quadratic_growth_constant)
@@ -125,23 +125,53 @@ class NullspaceReport:
     matches_components: bool
 
 
+def _generator(stencil, mask):
+    """The dense masked exchange generator A over mask nodes, numbered
+    row-major: A[i, j] = w(x_i - x_j) off the diagonal (the entries of
+    grids.masked_exchange_matrix, bit for bit), A[i, i] = -sum of the row."""
+    n = mask.n_nodes
+    rows, cols, weights = _mask_pairs(stencil, mask)
+    A = np.zeros((n, n))
+    np.add.at(A, (rows, cols), weights)   # sums a repeated offset, as the CSR does
+    np.fill_diagonal(A, -A.sum(axis=1))
+    return A
+
+
+def _components(linked):
+    """Number of connected components of the undirected graph on which i and
+    j are joined where linked[i, j] or linked[j, i]. A frontier flood fill:
+    each round ORs the rows of the nodes first reached in the round before,
+    so every row is read once, n^2 booleans in all."""
+    linked = linked | linked.T
+    reached = np.zeros(len(linked), dtype=bool)
+    count = 0
+    while not reached.all():
+        frontier = np.flatnonzero(~reached)[:1]
+        reached[frontier] = True
+        count += 1
+        while frontier.size:
+            new = linked[frontier].any(axis=0) & ~reached
+            reached |= new
+            frontier = np.flatnonzero(new)
+    return count
+
+
 def steady_state_nullspace(stencil, mask, node_cap=4000):
-    """Materialize the masked exchange generator and inspect its nullspace.
+    """Build the dense masked exchange generator and inspect its nullspace.
 
     A[i, j] = w(x_i - x_j) off the diagonal, A[i, i] = -sum of the row, so
     A annihilates constants by construction. The numerical nullspace (the
     eigenvalues of magnitude at most 1e-10 times the largest) has a dimension
-    that must equal the number of stencil-connected mask components, with the
-    constant vector spanning it in the connected case.
+    that must equal the number of stencil-connected mask components, counted
+    by flood fill over A's nonzero off-diagonal entries, with the constant
+    vector spanning it in the connected case. Numpy alone: no scipy module
+    loads.
     """
     n = mask.n_nodes
     if n > node_cap:
         raise ValueError(f"nullspace check is capped at {node_cap} nodes, got {n}")
-    from scipy.sparse import csgraph   # here, so only this check loads it
-    W = masked_exchange_matrix(stencil, mask)
-    n_comp = int(csgraph.connected_components(W, directed=False)[0])
-    A = W.toarray()
-    np.fill_diagonal(A, -A.sum(axis=1))
+    A = _generator(stencil, mask)
+    n_comp = _components(A != 0)
     A = 0.5 * (A + A.T)
     eigvals, eigvecs = np.linalg.eigh(A)
     scale = float(np.max(np.abs(eigvals))) or 1.0

@@ -1,6 +1,6 @@
 """Which scipy modules a process loads: ``import isoflow`` loads numpy and the
-standard library only, with no multiprocessing module, and each scipy module
-loads inside the one path that calls it."""
+standard library only, with no multiprocessing module, no OpenSSL and no
+thread pool, and each scipy module loads inside the one path that calls it."""
 
 import json
 import os
@@ -45,6 +45,8 @@ def exp_run(dim, M, mask_radius):
 
 after_import = loaded()
 processes = sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing")
+# a config hash's OpenSSL and the sweep's helper thread load in their one user
+unused = sorted(m for m in ("_hashlib", "concurrent.futures") if m in sys.modules)
 """
 
 _NUMPY_ONLY = _PREAMBLE + """
@@ -58,6 +60,11 @@ print(json.dumps([after_import, loaded(), paths, processes]))
 _BAND = _PREAMBLE + """
 exp_run(1, 41, 4.0)
 print(json.dumps([after_import, loaded(), paths]))
+"""
+
+_NULLSPACE = _PREAMBLE + """
+isoflow.verify.run_suite("nullspace")
+print(json.dumps([after_import, loaded(), paths, unused]))
 """
 
 _PAIR_MATRIX = _PREAMBLE + """
@@ -85,6 +92,15 @@ def test_import_root_finding_fft_runs_and_the_sweep_load_no_scipy_module():
     assert paths == ["sweep"]
     assert after_import == []
     assert _heavy(after_runs) == set()
+
+
+def test_import_and_the_nullspace_check_load_no_heavy_module():
+    # the dense generator and its components are numpy's: no scipy.sparse
+    after_import, after_suite, paths, unused = _modules(_NULLSPACE)
+    assert unused == []
+    assert paths == []
+    assert after_import == []
+    assert _heavy(after_suite) == set()
 
 
 @pytest.mark.parametrize("code, made, needed", [(_BAND, ["band"], "scipy.linalg"),

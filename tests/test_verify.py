@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import csgraph
 
-from isoflow import (DomainMask, Field, Grid, Kernel, Medium, SolverConfig,
+from isoflow import (DomainMask, Field, Grid, Kernel, Medium, SolverConfig, Stencil,
                      comparison_harness, discretize, quadratic_identity, run_suite,
                      steady_state_nullspace, stencil_second_moment, supersolution_residual)
+from isoflow.grids import masked_exchange_matrix
 from isoflow.media import MediumError
-from isoflow.verify import format_checks, suite_names, supersolution_margins
+from isoflow.verify import (_components, _generator, format_checks, suite_names,
+                            supersolution_margins)
 
 
 @pytest.fixture
@@ -153,10 +157,19 @@ class TestNullspace:
         assert rep.n_components == 2
         assert rep.dimension == 2
 
+    def test_a_zero_weight_pair_joins_no_components(self):
+        # the +/-2 offsets weigh 0 and are the only pairs across the gaps at
+        # |x| = 0.4: three components, as the nullspace has three dimensions
+        g = Grid(1, 1.0, 11)
+        s = Stencil(np.arange(-2, 3)[:, None], [0.0, 0.25, 0.5, 0.25, 0.0], g.spacing,
+                    2 * g.spacing, True, 1)
+        rep = steady_state_nullspace(s, DomainMask(g, 1.0, exclude_band=(0.3, 0.5)))
+        assert rep.n_components == rep.dimension == 3
+        assert rep.matches_components
+
     def test_generator_kills_constants_exactly(self):
         # with the diagonal built from the same sparse matvec, the row sums
         # cancel bitwise on the constant vector
-        from isoflow.grids import masked_exchange_matrix
         g = Grid(1, 4.0, 41)
         s = discretize(Kernel.uniform_ball(0.5), g.spacing)
         mask = DomainMask(g, 3.6)
@@ -164,6 +177,35 @@ class TestNullspace:
         ones = np.ones(W.shape[0])
         rowsum = W @ ones
         np.testing.assert_array_equal(W @ ones - rowsum * ones, 0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_generator_and_components_match_the_pair_matrix(self, data):
+        # the dense generator holds masked_exchange_matrix's entries bit for
+        # bit, and its flood fill counts csgraph's components, split masks
+        # (1-D: up to 3 pieces; 2-D: a disk, its annulus, and the annulus's
+        # fragments where the band leaves it thinner than the stencil) included
+        dim = data.draw(st.sampled_from([1, 2]))
+        g = Grid(dim, 4.0, 2 * data.draw(st.integers(5, 20)) + 1)
+        h = g.spacing
+        reach = data.draw(st.integers(1, 3))   # the stencil's reach, in cells
+        s = discretize(Kernel.uniform_ball(reach * h, dim=dim), h)
+        radius, band = data.draw(st.floats(0.5, 1.0)) * 4.0, None
+        if data.draw(st.booleans()):
+            # a band as wide as the reach or wider splits the mask, and an
+            # outer ring thinner than a cell falls apart in 2-D
+            a = data.draw(st.floats(0.1, 2.0))
+            b = a + (data.draw(st.integers(0, 2 * reach)) + 0.5) * h
+            radius = min(4.0, b + (data.draw(st.integers(0, 4)) + 0.3) * h)
+            band = (a, b)
+        mask = DomainMask(g, radius, exclude_band=band)
+        W = masked_exchange_matrix(s, mask)
+        A = _generator(s, mask)
+        off = A.copy()
+        np.fill_diagonal(off, 0.0)
+        np.testing.assert_array_equal(off, W.toarray())
+        np.testing.assert_array_equal(np.diag(A), -W.toarray().sum(axis=1))
+        assert _components(A != 0) == csgraph.connected_components(W, directed=False)[0]
 
     def test_node_cap(self):
         g = Grid(1, 4.0, 41)
