@@ -1,6 +1,7 @@
 """Radial convolution kernels, their exact moments, and grid stencils."""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -47,7 +48,8 @@ def check_params(kind, table, family, params, error):
     """``params`` of ``family`` checked against ``table`` (shaped as FAMILIES),
     with defaults filled in. A fault raises ``error(message, key)``, where key
     is "family" for an unknown family, None for a missing or extra parameter,
-    and the parameter's name for a value outside its domain."""
+    and the parameter's name for a value outside its domain, a value that is
+    not a real number included."""
     if family not in table:
         raise error(f"unknown {kind} family {family!r}", "family")
     schema = table[family]
@@ -59,9 +61,11 @@ def check_params(kind, table, family, params, error):
         raise error(f"{kind} family {family!r} does not take {extra}", None)
     full = {**{k: d for k, (d, _) in schema.items() if not isinstance(d, type)}, **params}
     for key, (_, domain) in schema.items():
-        if domain is not None and not _DOMAINS[domain][0](full[key]):
+        value = full[key]
+        if domain is not None and not (isinstance(value, numbers.Real)
+                                       and _DOMAINS[domain][0](value)):
             raise error(f"{kind} family {family!r} needs "
-                        f"{_DOMAINS[domain][1].format(key)}, got {full[key]!r}", key)
+                        f"{_DOMAINS[domain][1].format(key)}, got {value!r}", key)
     return full
 
 

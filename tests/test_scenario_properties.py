@@ -188,10 +188,13 @@ def test_constructors_reject_a_missing_extra_or_out_of_domain_parameter(data):
      r"does not take \['bogus'\]"),
     (lambda: Medium("constant", 1, {"value": 1.0, "sigma": -1.0}),
      r"does not take \['sigma'\]"),
+    (lambda: Kernel("gaussian", 1, sigma="1"), r"needs a finite sigma > 0, got '1'"),
+    (lambda: Medium("constant", 1, {"value": None}), r"needs a finite value > 0, got None"),
 ], ids=["kernel-missing", "kernel-extra", "medium-missing", "medium-extra",
-        "medium-extra-out-of-domain"])
+        "medium-extra-out-of-domain", "kernel-wrong-type", "medium-wrong-type"])
 def test_constructor_names_the_parameter_at_fault(build, message):
     # a KeyError, an accepted input, or a check of a parameter the family
-    # does not take, before the family tables
+    # does not take, before the family tables; a TypeError from the domain
+    # test for a value of the wrong type
     with pytest.raises((KernelError, MediumError), match=message):
         build()
