@@ -345,9 +345,19 @@ def _lp_ball(grid, p, radius):
     return ball_quad_weights(grid, radius)
 
 
+@np.errstate(over="ignore")   # an overflowing sum is summed again, scaled
 def _lp_local(f, c, p, ball):
-    """lp_local_distance on the ball weights ``ball`` from _lp_ball."""
-    total = f.grid.spacing ** f.grid.dim * np.sum(ball * np.abs(f.values - c) ** p)
+    """lp_local_distance on the ball weights ``ball`` from _lp_ball. Where
+    the direct sum underflows to 0 or overflows (a large p or a large
+    |f - c|), |f - c| is first divided by its largest value on the ball:
+    the same norm, with neither."""
+    vol = f.grid.spacing ** f.grid.dim
+    gap = np.abs(f.values - c)
+    total = vol * np.sum(ball * gap ** p)
+    if not 0 < total < math.inf:
+        top = float(np.max(gap, where=ball > 0, initial=0.0))
+        if 0 < top < math.inf:
+            return top * float((vol * np.sum(ball * (gap / top) ** p)) ** (1.0 / p))
     return float(total ** (1.0 / p))
 
 

@@ -339,6 +339,20 @@ class TestRecordInvariants:
             assert rec.lyapunov_F == lyapunov_F(u, s, boundary, mask)
             assert rec.lp_local_val == lp_local_distance(u, 0.0, 2.0, 5.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_lp_probe_of_large_data_at_large_p_is_finite(self):
+        # (1e7)^50 overflows the direct sum; the run keeps every record
+        g = Grid(1, 4.0, 41)
+        s = discretize(Kernel.gaussian(1.0), g.spacing, trunc_tol=1e-8)
+        u0 = Field.from_function(g, lambda x: 1e7 * np.exp(-x * x))
+        cfg = SolverConfig(scheme="exponential", dt=0.5, t_end=1.0, snapshot_every=1)
+        traj = run(u0, Medium.constant(1.0), s, cfg,
+                   Probes(lp_p=50.0, lp_radius=3.0, dist_target="zero"))
+        small = lp_local_distance(Field(g, u0.values / 1e7), 0.0, 50.0, 3.0)
+        assert traj.diagnostics[0].lp_local_val == pytest.approx(1e7 * small, rel=1e-12)
+        for (_, u), rec in zip(traj.snapshots, traj.diagnostics):
+            assert rec.lp_local_val == lp_local_distance(u, 0.0, 50.0, 3.0)
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_record_lp_local_val_is_lp_local_distance(self, dim):
         # a run computes the ball weights once; a record shares the public bits

@@ -378,6 +378,12 @@ class TestLpLocal:
         expected = math.sqrt(2 * r ** 3 / 3)
         assert lp_local_distance(f, 1.0, 2.0, r) == pytest.approx(expected, rel=1e-5)
 
+    def test_large_p_tends_to_the_sup_norm(self):
+        # every |f - c|^p underflows to 0 at p = 1e300; the limit is max |f - c|
+        g = Grid(1, 4.0, 41)
+        f = Field.from_function(g, lambda x: 0.5 * np.exp(-x * x))
+        assert lp_local_distance(f, 0.0, 1e300, 4.0) == pytest.approx(0.5, rel=1e-12)
+
     def test_p_below_one_rejected(self):
         g = Grid(1, 1.0, 11)
         with pytest.raises(GridError):
