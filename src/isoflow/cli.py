@@ -10,7 +10,7 @@ import sys
 from dataclasses import replace
 from functools import cache
 
-from .scenario import (ConfigError, parse_scenario, registry, run_scenario,
+from .scenario import (ConfigError, output_paths, parse_scenario, registry, run_scenario,
                        scenario_inputs, with_param)
 from .solver import NumericalAbort, SolverError, _picard_window, run
 from .verify import (CheckResult, format_checks, lyapunov_refinement,
@@ -51,10 +51,13 @@ def _cmd_sweep(args):
     jobs = [(with_param(sc, key, tok),
              os.path.join(base_dir, f"sweep-{key.split('.')[-1]}-{tok}"))
             for tok in tokens]
-    # a zero-step run and the Picard window at the value's t_end check it before any run
-    for varied, _ in jobs:
+    # before any run: each value's output path, a zero-step run, and the step
+    # count and the Picard window at the value's own t_end, which that run cannot see
+    for varied, out_dir in jobs:
+        output_paths(varied, out_dir)
         u0, medium, stencil = scenario_inputs(varied)
         traj = run(u0, medium, stencil, replace(varied.solver, t_end=0.0), varied.probes)
+        varied.solver.validate()
         if varied.solver.scheme == "picard-oracle":
             _picard_window(traj.rho.min(), varied.solver.dt, varied.solver.t_end, traj.rho.size)
     for varied, out_dir in jobs:

@@ -219,9 +219,7 @@ def convolve_direct(f, stencil, boundary="zero-extend", mask=None):
     exchange to mask-interior nodes: the output at interior x is
     sum over interior y of w(x - y) f(y), and zero outside the mask.
     """
-    _check_stencil_fits(f.grid, stencil)
-    mask = _domain(f.grid, boundary, mask)
-    chi = 1.0 if mask is None else mask.indicator()
+    chi = _Operator(f.grid, stencil, _domain(f.grid, boundary, mask)).chi
     return Field(f.grid, _convolve_zero_extend(f.values * chi, stencil) * chi, copy=False)
 
 
@@ -255,9 +253,10 @@ class _Operator:
     """The runtime J* of one run, built once and shared by its stepper and
     every record: the FFT plan, the domain indicator chi (``mask``, or all
     ones when ``mask`` is None: zero-extend) and the in-domain kernel mass
-    kappa = chi J*chi."""
+    kappa = chi J*chi. A stencil that does not fit ``grid`` raises GridError."""
 
     def __init__(self, grid, stencil, mask=None):
+        _check_stencil_fits(grid, stencil)
         self.grid, self.stencil, self.mask = grid, stencil, mask
         self.chi = np.ones(grid.shape) if mask is None else mask.indicator()
 
@@ -297,7 +296,6 @@ def convolve_fft(f, stencil):
 
     Matches convolve_direct within 1e-10 relative on the max norm.
     """
-    _check_stencil_fits(f.grid, stencil)
     conv = _Operator(f.grid, stencil).convolve(f.values)
     return Field(f.grid, np.ascontiguousarray(conv), copy=False)
 
@@ -383,8 +381,7 @@ def _mask_pairs(stencil, mask):
     """(rows, cols, weights) of every pair of distinct mask nodes within
     stencil reach, the nodes numbered row-major: W[rows, cols] = weights,
     one offset at a time, each ordered pair once."""
-    if stencil.dim != mask.grid.dim:
-        raise GridError("stencil and mask dimensions differ")
+    _check_stencil_fits(mask.grid, stencil)
     inside = mask.inside
     number = np.zeros(inside.shape, dtype=int)
     number[inside] = np.arange(mask.n_nodes)

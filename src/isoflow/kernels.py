@@ -121,7 +121,7 @@ class Kernel:
         self._tab_r.setflags(write=False)
         self._tab_v.setflags(write=False)
         mass = self._tab_moment(self.dim - 1) * _OMEGA[self.dim]
-        if abs(mass - 1.0) > tol:
+        if not abs(mass - 1.0) <= tol:   # a NaN mass fails too
             raise KernelError(
                 f"tabulated kernel mass {mass:.8g} deviates from 1 by more than {tol:g}")
 
@@ -199,7 +199,8 @@ class Kernel:
             s = self.params["sigma"]
             if self.dim == 1:
                 return math.erfc(R / (s * math.sqrt(2.0)))
-            return float(math.exp(-0.5 * (R / s) ** 2))
+            r = R / s
+            return float(math.exp(-0.5 * r * r))   # r ** 2 raises where r * r is inf
         if self.family == "laplace":
             b = self.params["scale"]
             if self.dim == 1:
@@ -215,6 +216,7 @@ class Kernel:
         mass = self._tab_moment(self.dim - 1) * _OMEGA[self.dim]
         return max(0.0, mass - inside)
 
+    @np.errstate(over="ignore", invalid="ignore")   # a moment that overflows is inf or NaN
     def _tab_moment(self, power, R=math.inf):
         """Exact integral of r^power * J(r) over the piecewise-linear table,
         up to radius ``R``."""
@@ -293,6 +295,7 @@ class Stencil:
                 f"R={self.truncation_radius:.4g}, renorm={self.renormalized})")
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")   # non-finite weights raise
 def discretize(kernel, spacing, policy="renormalize", trunc_tol=1e-12, max_offsets=4_000_000):
     """Sample a kernel onto the integer lattice with midpoint quadrature.
 
@@ -306,13 +309,14 @@ def discretize(kernel, spacing, policy="renormalize", trunc_tol=1e-12, max_offse
         raise KernelError(f"unknown discretization policy {policy!r}")
     R = kernel.truncation_radius(trunc_tol)
     h = float(spacing)
-    K = int(math.floor(R / h + 1e-9))
+    cells = R / h + 1e-9   # inf when R/h overflows
     dim = kernel.dim
-    count = (2 * K + 1) ** dim
+    count = (2 * math.floor(cells) + 1) ** dim if cells < max_offsets else math.inf
     if count > max_offsets:
         raise KernelError(
             f"stencil would need {count} offsets (cap {max_offsets}); "
             "use a coarser truncation tolerance or larger spacing")
+    K = math.floor(cells)
     axis = np.arange(-K, K + 1, dtype=np.int64)
     if dim == 1:
         offsets = axis[:, None]
@@ -328,8 +332,11 @@ def discretize(kernel, spacing, policy="renormalize", trunc_tol=1e-12, max_offse
             f"stencil keeps only the origin (truncation radius {R:.3g}, spacing {h:g}): "
             "J* would be the identity; use a finer spacing")
     weights = (h ** dim) * kernel.eval_radius(radii)
+    total = weights.sum()
+    if not math.isfinite(total):
+        raise KernelError(f"stencil weights at spacing {h:g} are not finite, or their "
+                          "sum overflows")
     if policy == "renormalize":
-        total = weights.sum()
         if total <= 0:
             raise KernelError("stencil weights sum to zero; spacing too coarse")
         weights = weights / total

@@ -178,11 +178,12 @@ def classify(medium):
         return MediumClassification(beta > dim, mass, floor_pair)
     if fam == "gaussian-decay":
         a, s = medium.params["amplitude"], medium.params["sigma"]
-        mass = a * (2.0 * math.pi) ** (dim / 2.0) * s ** dim
+        # math.prod: a product that overflows is inf, where s ** dim raises
+        mass = a * (2.0 * math.pi) ** (dim / 2.0) * math.prod((s,) * dim)
         return MediumClassification(True, mass, None)
     if fam == "exponential-decay":
         a, b = medium.params["amplitude"], medium.params["scale"]
-        mass = a * _OMEGA[dim] * b ** dim * math.gamma(dim)
+        mass = a * _OMEGA[dim] * math.prod((b,) * dim) * math.gamma(dim)
         return MediumClassification(True, mass, None)
     if fam == "floored":
         base_cls = classify(medium.base)

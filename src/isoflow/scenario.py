@@ -455,18 +455,30 @@ def scenario_inputs(sc):
             build_stencil(sc.kernel, grid))
 
 
+def output_paths(sc, out_dir=None):
+    """(directory, csv path) of a scenario's run: ``out_dir``, else
+    outputs.directory, checked to be set, and outputs.csv, checked to name a
+    file in it."""
+    directory, name = out_dir or sc.outputs.directory, sc.outputs.csv
+    if not directory:
+        raise ConfigError("the output directory is empty", field="outputs.directory")
+    if name in ("", ".", "..") or os.path.basename(name) != name:
+        raise ConfigError(f"{name!r} names no file in the output directory",
+                          field="outputs.csv")
+    return directory, os.path.join(directory, name)
+
+
 def run_scenario(sc, out_dir=None):
     """Execute a scenario and emit its CSV (and snapshots, if requested).
 
     Returns (trajectory, csv_path). Nothing is written unless the run succeeds.
     """
+    directory, csv_path = output_paths(sc, out_dir)
     u0, medium, stencil = scenario_inputs(sc)
     traj = run(u0, medium, stencil, sc.solver, sc.probes)
 
     text = _csv_text(sc, traj, medium)
-    directory = out_dir or sc.outputs.directory
     os.makedirs(directory, exist_ok=True)
-    csv_path = os.path.join(directory, sc.outputs.csv)
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(text)
     if sc.outputs.snapshots == "last":

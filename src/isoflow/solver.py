@@ -2,19 +2,25 @@
 steps, the fixed-point oracle, and monotone approximation drivers."""
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diagnostics, grids
-from .grids import DomainMask, Field, _check_stencil_fits, _domain, _Operator
-from .kernels import stencil_second_moment
+from .grids import DomainMask, Field, _domain, _Operator
+from .kernels import _DOMAINS, stencil_second_moment
 from .media import classify, default_alpha, floor as floor_medium, quadratic_growth_constant
 
 _SCHEMES = ("euler", "exponential", "picard-oracle")
 _BOUNDARIES = ("zero-extend", "mask")
 _DIST_TARGETS = ("auto", "e_rho", "zero")
+# SolverConfig's real fields -> domain in kernels._DOMAINS; DomainMask and
+# media.floor check the rest of the two that may be None
+_NUMBERS = {"dt": "positive", "t_end": "nonnegative", "mask_radius": "finite",
+            "floor_alpha": "finite", "picard_tol": "positive"}
+_OPTIONAL = ("mask_radius", "floor_alpha")
 
 
 class SolverError(RuntimeError):
@@ -48,16 +54,18 @@ class SolverConfig:
             raise SolverError(f"unknown scheme {self.scheme!r}")
         if self.boundary not in _BOUNDARIES:
             raise SolverError(f"unknown boundary mode {self.boundary!r}")
-        for name in ("dt", "t_end", "mask_radius", "floor_alpha", "picard_tol"):
+        for name, domain in _NUMBERS.items():
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise SolverError(f"{name} must be finite, got {value!r}")
-        if self.dt <= 0 or self.t_end < 0:
-            raise SolverError("dt must be positive and t_end nonnegative")
-        if self.picard_tol <= 0:
-            raise SolverError(f"picard_tol must be positive, got {self.picard_tol!r}")
-        if self.snapshot_every < 1:
-            raise SolverError("snapshot_every must be at least 1")
+            if not (value is None and name in _OPTIONAL
+                    or isinstance(value, numbers.Real) and _DOMAINS[domain][0](value)):
+                raise SolverError(f"solver needs {_DOMAINS[domain][1].format(name)}, "
+                                  f"got {value!r}")
+        if not math.isfinite(float(self.t_end) / float(self.dt)):
+            raise SolverError(f"the step count t_end/dt = {self.t_end!r}/{self.dt!r} "
+                              "overflows")
+        if not (isinstance(self.snapshot_every, numbers.Integral) and self.snapshot_every >= 1):
+            raise SolverError(f"snapshot_every must be an integer >= 1, "
+                              f"got {self.snapshot_every!r}")
         if (self.boundary == "mask") != (self.mask_radius is not None):
             raise SolverError(f"mask_radius must be set exactly when the boundary is mask, "
                               f"got {self.mask_radius!r} under {self.boundary}")
@@ -253,7 +261,6 @@ def _stepper(op, rho, scheme, dt, nnz_cap=None):
 def _one_step(u, medium, stencil, scheme, dt, boundary, mask):
     """One step of the stepper for ``boundary``; a masked exponential step
     takes the sweep path, and a masked step drops the data outside the mask."""
-    _check_stencil_fits(u.grid, stencil)
     op = _Operator(u.grid, stencil, _domain(u.grid, boundary, mask))
     stepper = _stepper(op, medium.sample(u.grid), scheme, dt, nnz_cap=0)
     return Field(u.grid, stepper.step(np.where(op.chi > 0, u.values, 0.0)), copy=False)
@@ -332,6 +339,7 @@ def _recorder(traj, u0, medium, rho, op, probes):
     return record
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run(u0, medium, stencil, config, probes=None):
     """Advance u0 to t_end, recording diagnostics every snapshot_every steps.
 
@@ -339,11 +347,12 @@ def run(u0, medium, stencil, config, probes=None):
     zeroed off the mask. A non-finite state, or a non-finite column of a
     record, raises NumericalAbort with the offending step.
     The operator and rho are built once, for every step and every record.
+    Numpy's overflow warnings are off throughout: an overflow ends in the
+    library's error or in a NumericalAbort, so a warning first is only noise.
     """
     config.validate()
     probes = probes or Probes()
     grid = u0.grid
-    _check_stencil_fits(grid, stencil)
     medium_eff = medium
     if config.floor_alpha is not None:
         medium_eff = floor_medium(medium, config.floor_alpha)
@@ -353,39 +362,36 @@ def run(u0, medium, stencil, config, probes=None):
     rho = medium_eff.sample(grid)
     traj = Trajectory(rho=rho, mask=mask)
     record = _recorder(traj, u0, medium_eff, rho, op, probes)
-    # a non-finite state or record is a NumericalAbort naming its step, so
-    # numpy's overflow warnings on the way there would only be noise
-    with np.errstate(over="ignore", invalid="ignore"):
-        if config.scheme == "picard-oracle":
-            # snapshots at the window ends, a window a step
-            record(0.0, u0.copy(), 0)
-            _, traj.picard_report = _picard(u0, op, rho, config.t_end, config.picard_tol,
-                                            config.dt, collect=record)
-            traj.validate()
-            return traj
+    if config.scheme == "picard-oracle":
+        # snapshots at the window ends, a window a step
+        record(0.0, u0.copy(), 0)
+        _, traj.picard_report = _picard(u0, op, rho, config.t_end, config.picard_tol,
+                                        config.dt, collect=record)
+        traj.validate()
+        return traj
 
-        _check_step(op, rho, config.scheme, config.dt)   # a zero-step run builds no stepper
-        state = np.where(op.chi > 0, u0.values, 0.0)
+    _check_step(op, rho, config.scheme, config.dt)   # a zero-step run builds no stepper
+    state = np.where(op.chi > 0, u0.values, 0.0)
 
-        # whole steps of dt, then one shorter step that ends at t_end exactly
-        n_steps = int(round(config.t_end / config.dt))
-        remainder = 0.0
-        if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
-            n_steps = int(config.t_end // config.dt)
-            remainder = config.t_end - n_steps * config.dt
+    # whole steps of dt, then one shorter step that ends at t_end exactly
+    n_steps = int(round(config.t_end / config.dt))
+    remainder = 0.0
+    if abs(n_steps * config.dt - config.t_end) > 1e-9 * max(1.0, config.t_end):
+        n_steps = int(config.t_end // config.dt)
+        remainder = config.t_end - n_steps * config.dt
 
-        last = n_steps + (remainder > 0)
-        for k in range(last + 1):
-            if k == 1 or k > n_steps:
-                dt = remainder if k > n_steps else config.dt
-                stepper = _stepper(op, rho, config.scheme, dt)
-            if k > 0:
-                state = stepper.step(state)
-                if not np.all(np.isfinite(state)):
-                    raise NumericalAbort(k)
-            if k % config.snapshot_every == 0 or k == last:
-                record(config.t_end if k == last else k * config.dt,
-                       Field(grid, state, copy=True), k)
+    last = n_steps + (remainder > 0)
+    for k in range(last + 1):
+        if k == 1 or k > n_steps:
+            dt = remainder if k > n_steps else config.dt
+            stepper = _stepper(op, rho, config.scheme, dt)
+        if k > 0:
+            state = stepper.step(state)
+            if not np.all(np.isfinite(state)):
+                raise NumericalAbort(k)
+        if k % config.snapshot_every == 0 or k == last:
+            record(config.t_end if k == last else k * config.dt,
+                   Field(grid, state, copy=True), k)
     traj.validate()
     return traj
 
@@ -422,22 +428,26 @@ def picard_solve(u0, medium, stencil, t_end, tol=1e-10, dt=1e-3):
     (left-endpoint rule) is a contraction; windows are concatenated until
     t_end, and a window that does not reach ``tol`` in 400 iterations raises
     SolverError. J* is a run's FFT convolution, batched over a window's time
-    slices (10^7 samples at most). ``dt``, ``t_end`` and ``tol`` obey
-    SolverConfig.validate, or SolverError. The medium must be bounded away
-    from zero (pass a floored medium). Returns the final field and the
-    PicardReport.
+    slices (10^7 samples at most), and t_end takes 10^6 windows at most.
+    ``dt``, ``t_end`` and ``tol`` obey SolverConfig.validate, or SolverError.
+    The medium must be bounded away from zero (pass a floored medium).
+    Returns the final field and the PicardReport.
     """
     SolverConfig(scheme="picard-oracle", dt=dt, t_end=t_end, picard_tol=tol).validate()
-    _check_stencil_fits(u0.grid, stencil)
     return _picard(u0, _Operator(u0.grid, stencil), medium.sample(u0.grid), t_end, tol, dt)
 
 
 def _picard_window(rho_min, dt, t_end, n_nodes):
-    """The Picard window length 0.4 ``rho_min``, checked to lie in (0, rho_min/2)
-    and, for the first and longest window, to store at most 10^7 samples."""
+    """The Picard window length 0.4 ``rho_min``, checked to lie in (0, rho_min/2),
+    to reach ``t_end`` in at most 10^6 windows and, for the first and longest
+    window, to store at most 10^7 samples."""
+    rho_min = float(rho_min)   # Python floats: an overflowing ratio is inf, unwarned
     t0 = 0.4 * rho_min   # 0 when min rho is subnormal: no window would advance
     if not 0 < t0 < 0.5 * rho_min:
         raise SolverError(f"window {t0:g} must lie in (0, rho_min/2) = (0, {0.5 * rho_min:g})")
+    if float(t_end) / t0 > 1_000_000:
+        raise SolverError(f"t_end={t_end:g} takes {float(t_end) / t0:.3g} windows of {t0:g} "
+                          f"(0.4 min rho), above the fixed-point oracle's cap of 10^6")
     longest = min(t0, t_end)
     n_samples = (max(1, math.ceil(longest / dt - 1e-9)) + 1) * n_nodes
     if n_samples > 10_000_000:

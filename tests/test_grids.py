@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special
 
-from isoflow import (DomainMask, Field, Grid, GridError, Kernel, Medium, convolve_direct,
-                     convolve_fft, discretize, integrate, lp_local_distance, lyapunov_F,
-                     read_snapshot, step_euler, step_exponential,
+from isoflow import (DomainMask, Field, Grid, GridError, Kernel, Medium, SolverConfig,
+                     Stencil, convolve_direct, convolve_fft, discretize, integrate,
+                     lp_local_distance, lyapunov_F, picard_solve, read_snapshot, run,
+                     step_euler, step_exponential, steady_state_nullspace,
                      stencil_second_moment, write_snapshot)
 from isoflow import grids
 from isoflow.grids import _Operator, masked_exchange_matrix
@@ -202,6 +203,43 @@ def test_mask_must_live_on_the_field_grid(call, case):
     }[case]
     with pytest.raises(GridError, match=match):
         call(Field.zeros(g), s, boundary, mask)
+
+
+_ONE = Medium.constant(1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda u, s, mask: convolve_direct(u, s),
+    lambda u, s, mask: convolve_fft(u, s),
+    lambda u, s, mask: lyapunov_F(u, s),
+    lambda u, s, mask: lyapunov_F(u, s, "mask", mask),
+    lambda u, s, mask: step_euler(u, _ONE, s, 0.1),
+    lambda u, s, mask: step_exponential(u, _ONE, s, 0.1),
+    lambda u, s, mask: run(u, _ONE, s, SolverConfig(dt=0.1, t_end=0.1)),
+    lambda u, s, mask: picard_solve(u, _ONE, s, 0.1),
+    lambda u, s, mask: steady_state_nullspace(s, mask),
+    lambda u, s, mask: masked_exchange_matrix(s, mask),
+], ids=["convolve_direct", "convolve_fft", "lyapunov_F", "lyapunov_F-mask", "step_euler",
+        "step_exponential", "run", "picard_solve", "steady_state_nullspace",
+        "masked_exchange_matrix"])
+@pytest.mark.parametrize("misfit", ["2-d", "double-spacing", "radius-above-2L",
+                                    "halfwidth-above-M-1"])
+def test_stencil_must_fit_its_grid(call, misfit):
+    # a stencil of another dimension, spacing or reach is another operator:
+    # the operator and the pair loop that apply it raise, whoever calls them
+    g = Grid(1, 5.0, 41)
+    h, fits = g.spacing, discretize(Kernel.gaussian(0.5), g.spacing)
+    s, match = {
+        "2-d": (discretize(Kernel.gaussian(0.5, dim=2), h), "dimensions differ"),
+        "double-spacing": (discretize(Kernel.gaussian(0.5), 2 * h), "spacing"),
+        "radius-above-2L": (Stencil(fits.offsets, fits.weights, h, 10.5, True, 1),
+                            "truncation radius"),
+        "halfwidth-above-M-1": (Stencil([[-41], [0], [41]], [0.25, 0.5, 0.25], h,
+                                        fits.truncation_radius, True, 1), "wider"),
+    }[misfit]
+    u = Field.from_function(g, lambda x: np.exp(-x * x))
+    with pytest.raises(GridError, match=match):
+        call(u, s, DomainMask(g, 3.0))
 
 
 _FAMILIES = ("gaussian", "laplace", "uniform-ball", "tabulated")

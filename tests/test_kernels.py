@@ -134,6 +134,11 @@ class TestTruncation:
     def test_uniform_truncation_is_support(self):
         assert Kernel.uniform_ball(2.5).truncation_radius(1e-12) == 2.5
 
+    def test_gaussian_2d_radius_below_the_normal_floats(self):
+        # (R / sigma) ** 2 raised an OverflowError while bisecting from R = 1
+        R = Kernel.gaussian(5e-324, dim=2).truncation_radius(0.35)
+        assert 0.0 < R < 1e-300
+
     def test_outside_mass_monotone(self):
         k = Kernel.laplace(1.0, dim=2)
         rs = np.linspace(0.5, 20, 40)
@@ -190,6 +195,24 @@ class TestDiscretize:
         # J would be a point mass and every step the identity
         with pytest.raises(KernelError, match="only the origin"):
             discretize(kernel, spacing)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("kernel, spacing, match", [
+        (Kernel.uniform_ball(4.49e307), 0.25, "would need inf offsets"),
+        (Kernel.gaussian(5e-324, dim=2), 5e-324, "are not finite"),
+    ], ids=["reach-overflows", "weights-overflow"])
+    def test_stencil_beyond_the_floats_is_a_kernel_error(self, kernel, spacing, match):
+        # unchecked, int(R / h) raised an OverflowError, and sigma^2 = 0
+        # divided by zero with a numpy warning
+        with pytest.raises(KernelError, match=match):
+            discretize(kernel, spacing)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_tabulated_mass_that_overflows_is_rejected(self):
+        # the moments of a ramp to 1e200 overflow to NaN, which passed the
+        # mass check with a numpy warning
+        with pytest.raises(KernelError, match="mass nan"):
+            Kernel.tabulated([0.0, 1e200], [1e-200, 0.0])
 
     def test_bad_policy_and_spacing(self):
         with pytest.raises(KernelError):

@@ -114,6 +114,13 @@ class TestClassify:
                 lambda r: r * medium.rho_of_radius(r), 0, np.inf)[0]
         assert classify(medium).total_mass == pytest.approx(quad, rel=1e-8)
 
+    @pytest.mark.parametrize("medium", [Medium.gaussian_decay(1.0, 1e200, dim=2),
+                                        Medium.exponential_decay(1.0, 1e200, dim=2)],
+                             ids=["gaussian-decay", "exponential-decay"])
+    def test_mass_that_overflows_is_inf(self, medium):
+        # sigma ** 2 raised an OverflowError
+        assert classify(medium).total_mass == math.inf
+
     def test_custom_unknown_refuses_weighted_mean(self):
         m = Medium.custom(lambda x: 1.0 / (1.0 + x * x), tail="unknown")
         assert classify(m).integrable is None

@@ -13,8 +13,8 @@ import isoflow
 from isoflow import cli
 from isoflow.cli import main
 from isoflow.kernels import Kernel
-from isoflow.scenario import (config_hash, emit_scenario, parse_scenario_text,
-                              scenario_inputs, with_param)
+from isoflow.scenario import (InitialSpec, MediumSpec, config_hash, emit_scenario,
+                              parse_scenario_text, scenario_inputs, with_param)
 
 GOOD_CFG = """
 [scenario]
@@ -505,6 +505,26 @@ class TestSweepCLI:
         assert "dt=1e-07 is too small for the fixed-point oracle" in capsys.readouterr().err
         assert not (tmp_path / "sw").exists()
 
+    def test_picard_window_count_of_a_later_value_fails_before_any_run(
+            self, tmp_path, capsys):
+        # floor_alpha = 1e-7 under min rho = e^-50 makes windows of 4e-8: 2.5e7
+        # of them to t_end = 1
+        cfg = tmp_path / "eu.cfg"
+        cfg.write_text(emit_scenario(_unfloored_existence_uniqueness()))
+        assert main(["sweep", str(cfg), "--param", "floor_alpha=0.3,1e-7",
+                     "--out", str(tmp_path / "sw")]) == 2
+        assert "takes 2.5e+07 windows" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
+    def test_step_count_of_a_later_value_fails_before_any_run(self, tmp_path, capsys):
+        # the zero-step check runs at t_end = 0, where every step count is 0
+        cfg = tmp_path / "fd.cfg"
+        cfg.write_text(emit_scenario(with_param(_small_flux_decay(), "t_end", "1e300")))
+        assert main(["sweep", str(cfg), "--param", "dt=1e300,1e-300",
+                     "--out", str(tmp_path / "sw")]) == 2
+        assert "step count t_end/dt = 1e+300/1e-300 overflows" in capsys.readouterr().err
+        assert not (tmp_path / "sw").exists()
+
     def test_unstable_euler_fails_before_any_run(self, tmp_path, capsys):
         # dt = 0.25 is far above stability_dt = min rho for Euler
         sc = with_param(registry()["isothermalization"], "t_end", "0.5")
@@ -517,13 +537,16 @@ class TestSweepCLI:
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("dt = 0.2", "dt = inf", "must be finite"),
-    ("t_end = 2.0", "t_end = inf", "must be finite"),
-    ("dt = 0.2", "dt = nan", "must be finite"),
-    ("mask_radius = 10.0", "mask_radius = inf", "must be finite"),
-    ("snapshot_every = 2", "snapshot_every = 2\nfloor_alpha = inf", "must be finite"),
-    ("snapshot_every = 2", "snapshot_every = 2\npicard_tol = nan", "must be finite"),
-    ("snapshot_every = 2", "snapshot_every = 2\npicard_tol = 0", "must be positive"),
+    ("dt = 0.2", "dt = inf", "needs a finite dt > 0, got inf"),
+    ("t_end = 2.0", "t_end = inf", "needs a finite t_end >= 0, got inf"),
+    ("dt = 0.2", "dt = nan", "needs a finite dt > 0, got nan"),
+    ("mask_radius = 10.0", "mask_radius = inf", "needs a finite mask_radius, got inf"),
+    ("snapshot_every = 2", "snapshot_every = 2\nfloor_alpha = inf",
+     "needs a finite floor_alpha, got inf"),
+    ("snapshot_every = 2", "snapshot_every = 2\npicard_tol = nan",
+     "needs a finite picard_tol > 0, got nan"),
+    ("snapshot_every = 2", "snapshot_every = 2\npicard_tol = 0",
+     "needs a finite picard_tol > 0, got 0.0"),
 ], ids=["dt-inf", "t_end-inf", "dt-nan", "mask_radius-inf", "floor_alpha-inf",
         "picard_tol-nan", "picard_tol-zero"])
 def test_non_finite_solver_number_is_a_config_error(tmp_path, capsys, old, new, message):
@@ -583,6 +606,73 @@ def test_non_finite_record_is_a_numerical_abort(tmp_path, capsys):
     assert "non-finite lyapunov_F" in err and "lp_local_val" not in err
     assert "at step 0" in err
     assert not (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+def _unfloored_existence_uniqueness():
+    """existence-uniqueness on rho = exp(-2|x|^2), unfloored: min rho = e^-50."""
+    sc = registry()["existence-uniqueness"]
+    return replace(sc, medium=MediumSpec("gaussian-decay", {"amplitude": 1.0, "sigma": 0.5}),
+                   solver=replace(sc.solver, floor_alpha=None))
+
+
+def _one_line(capsys):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    return err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("key, value, code, message", [
+    ("medium", ("power-decay", {"amplitude": 1.0, "exponent": 400.0}), 2,
+     "config error: Medium(power-decay"),
+    ("medium", ("constant", {"value": 1e300}), 3,
+     "numerical abort: non-finite mass, weighted_energy, dist_L1rho"),
+    ("solver", {"dt": 1e-300, "t_end": 1e300}, 2,
+     "config error: the step count t_end/dt = 1e+300/1e-300 overflows"),
+], ids=["rho-overflows", "distance-target-overflows", "step-count-overflows"])
+def test_run_set_up_fault_is_one_line_from_the_library(tmp_path, capsys, key, value, code,
+                                                       message):
+    # unchecked, 1 + |x|^400 and the target's sum of rho u0 over rho warned
+    # first, from media.py and solver.py, and the step count raised an
+    # OverflowError with its traceback
+    sc = replace(_small_flux_decay(), initial=InitialSpec("gaussian-bump",
+                                                          {"height": 1e10, "width": 1.0}))
+    if key == "medium":
+        sc = replace(sc, medium=MediumSpec(*value))
+    else:
+        sc = replace(sc, solver=replace(sc.solver, **value))
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(emit_scenario(sc))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == code
+    assert _one_line(capsys).startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, field", [
+    ("csv", "", "outputs.csv"), ("csv", "..", "outputs.csv"),
+    ("csv", "sub/diag.csv", "outputs.csv"), ("directory", "", "outputs.directory")],
+    ids=["csv-empty", "csv-parent", "csv-in-a-subdirectory", "directory-empty"])
+def test_output_path_that_names_no_file_is_a_config_error(tmp_path, capsys, key, value,
+                                                          field):
+    # unchecked, open() or os.makedirs() raised an OSError after the run
+    sc = _small_flux_decay()
+    sc = replace(sc, outputs=replace(sc.outputs, **{"directory": str(tmp_path / "out"),
+                                                    key: value}))
+    cfg = tmp_path / "out.cfg"
+    cfg.write_text(emit_scenario(sc))
+    assert main(["run", str(cfg)]) == 2
+    assert f"field {field}" in _one_line(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+def test_picard_run_it_cannot_finish_is_refused_before_its_first_window(tmp_path, capsys):
+    # min rho = e^-50 with no floor: 1.3e22 windows of 7.7e-23 to t_end = 1;
+    # unchecked, the run was still going after 20 s
+    cfg = tmp_path / "eu.cfg"
+    cfg.write_text(emit_scenario(_unfloored_existence_uniqueness()))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "takes 1.3e+22 windows" in _one_line(capsys)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("key", ["mass_tol", "dim"])

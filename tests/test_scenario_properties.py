@@ -3,19 +3,25 @@ round trips over generated scenarios, and strings the format cannot carry;
 and for the kernel and medium family tables that the format reads, which
 the constructors check against."""
 
+import contextlib
+import io
 import math
+import os
+import tempfile
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from isoflow import (ConfigError, Kernel, KernelError, Medium, MediumError, Probes,
-                     SolverConfig, classify)
+                     SolverConfig, classify, floor)
+from isoflow.cli import main
 from isoflow.kernels import FAMILIES as KERNEL_FAMILIES
 from isoflow.media import FAMILIES as MEDIUM_FAMILIES
 from isoflow.scenario import (_FAMILIES, GridSpec, InitialSpec, KernelSpec,
                               MediumSpec, OutputSpec, Scenario, _format_value,
-                              _sections, build_medium, emit_scenario,
+                              _sections, build_grid, build_medium, emit_scenario,
                               parse_scenario_text, with_param)
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
@@ -33,16 +39,17 @@ in_domain = {"finite": finite, "positive": st.floats(1e-3, 1e3),
              "nonnegative": st.floats(0.0, 1e3)}
 
 
-def _family(draw, kind, value=None):
+def _family(draw, kind, value=None, domains=in_domain):
     """A family of ``kind`` with every required and some optional parameters,
-    each scalar drawn from ``value`` if given, else from its domain."""
+    each scalar drawn from ``value`` if given, else from its domain in
+    ``domains``, and each list from the "finite" domain."""
     family = draw(st.sampled_from(sorted(_FAMILIES[kind])))
     params = {}
     for key, entry in _FAMILIES[kind][family].items():
         default, domain = entry
         if isinstance(default, type) or draw(st.booleans()):
-            params[key] = (draw(st.lists(finite, max_size=4)) if default is list
-                           else draw(in_domain[domain] if value is None else value))
+            params[key] = (draw(st.lists(domains["finite"], max_size=4)) if default is list
+                           else draw(domains[domain] if value is None else value))
     return family, params
 
 
@@ -198,3 +205,96 @@ def test_constructor_names_the_parameter_at_fault(build, message):
     # test for a value of the wrong type
     with pytest.raises((KernelError, MediumError), match=message):
         build()
+
+
+# every finite float of each parameter domain of kernels._DOMAINS, from the
+# subnormals to the largest, and as often the moderate values of in_domain
+extreme = {"finite": st.floats(allow_nan=False, allow_infinity=False),
+           "positive": st.floats(0.0, exclude_min=True, allow_infinity=False),
+           "nonnegative": st.floats(0.0, allow_infinity=False)}
+extreme = {domain: values | in_domain[domain] for domain, values in extreme.items()}
+
+
+def _min_rho(medium, floor_alpha, grid):
+    """min rho of the medium, floored at ``floor_alpha``, on the grid; None
+    where either is invalid, so that the run fails in its set-up."""
+    try:
+        with np.errstate(all="ignore"):
+            m = build_medium(medium, grid.dim)
+            return float(np.min((m if floor_alpha is None else floor(m, floor_alpha))
+                                .sample(build_grid(grid))))
+    except (ConfigError, MediumError):
+        return None
+
+
+@st.composite
+def extreme_scenarios(draw):
+    """Scenarios whose numbers range over the finite floats of their domains,
+    on grids of at most 21 nodes an axis (7 in 2-D), to a t_end of at most 3
+    steps. A Picard step is the shorter of dt and a window, 0.4 min rho."""
+    dim = draw(st.sampled_from([1, 2]))
+    grid = GridSpec(dim, draw(extreme["positive"]),
+                    2 * draw(st.integers(1, 10 if dim == 1 else 3)) + 1)
+    family, params = _family(draw, "kernel", domains=extreme)
+    if family == "tabulated":
+        # the unit-mass linear ramp of scenarios(), to an extreme radius
+        R = draw(extreme["positive"])
+        with np.errstate(all="ignore"):
+            top = float(np.float64(1.0 if dim == 1 else 3.0 / math.pi) / np.float64(R) ** dim)
+        params = {"radii": [0.0, R], "values": [top, 0.0]}
+    kernel = KernelSpec(family, params, trunc_tol=draw(st.floats(0.0, 1.0)),
+                        renormalize=draw(st.booleans()))
+    medium = MediumSpec(*_family(draw, "medium", domains=extreme))
+    family, params = _family(draw, "initial", domains=extreme)
+    if family == "table":
+        radii = sorted(set(draw(st.lists(extreme["nonnegative"], min_size=1, max_size=4))))
+        params = {"radii": radii, "values": draw(st.lists(
+            extreme["finite"], min_size=len(radii), max_size=len(radii)))}
+    initial = InitialSpec(family, params,
+                          truncate_radius=draw(st.none() | extreme["nonnegative"]))
+
+    scheme = draw(st.sampled_from(["euler", "exponential", "picard-oracle"]))
+    boundary = ("zero-extend" if scheme == "picard-oracle"
+                else draw(st.sampled_from(["zero-extend", "mask"])))
+    dt = draw(extreme["positive"])
+    floor_alpha = draw(st.none() | extreme["positive"])
+    rho_min = _min_rho(medium, floor_alpha, grid) if scheme == "picard-oracle" else None
+    step = dt if rho_min is None else min(dt, 0.4 * rho_min)
+    solver = SolverConfig(
+        scheme=scheme, dt=dt, t_end=draw(st.floats(0.0, 3.0)) * step, boundary=boundary,
+        mask_radius=draw(extreme["finite"]) if boundary == "mask" else None,
+        snapshot_every=draw(st.integers(1, 10 ** 18)), floor_alpha=floor_alpha,
+        picard_tol=draw(extreme["positive"]))
+    probes = Probes(lp_p=draw(st.floats(1.0, allow_infinity=False)),
+                    lp_radius=draw(st.none() | extreme["positive"]),
+                    dist_target=draw(st.sampled_from(["auto", "e_rho", "zero"])))
+    outputs = OutputSpec(draw(texts), draw(texts), draw(st.sampled_from(["none", "last",
+                                                                         "all"])))
+    return Scenario(draw(texts), kernel, medium, grid, initial, solver, outputs, probes)
+
+
+_EXIT_LINE = {2: "config error: ", 3: "numerical abort: "}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(extreme_scenarios())
+def test_every_scenario_runs_or_fails_in_one_line(sc):
+    # isoflow run exits 0 with every CSV value finite, or exits 2 (config
+    # error) or 3 (numerical abort) with one line from the library
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = os.path.join(tmp, "sc.cfg"), os.path.join(tmp, "out")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(emit_scenario(sc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", cfg, "--out", out])
+        if code == 0:
+            with open(os.path.join(out, sc.outputs.csv), encoding="utf-8") as fh:
+                _, *rows = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
+            assert rows and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+            return
+    assert code in _EXIT_LINE, err.getvalue()
+    assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    assert err.getvalue().startswith(_EXIT_LINE[code]), err.getvalue()

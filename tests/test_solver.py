@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import pickle
 import subprocess
 import sys
@@ -453,6 +454,26 @@ class TestRun:
         with pytest.raises(SolverError, match="mask_radius"):
             SolverConfig(dt=0.1, t_end=1.0, mask_radius=3.0).validate()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("dt", "0.1", "needs a finite dt > 0, got '0.1'"),
+        ("mask_radius", "3", "needs a finite mask_radius, got '3'"),
+        ("picard_tol", "1e-10", "needs a finite picard_tol > 0, got '1e-10'"),
+        ("snapshot_every", None, "snapshot_every must be an integer >= 1, got None"),
+        ("snapshot_every", 2.5, "snapshot_every must be an integer >= 1, got 2.5"),
+    ], ids=["dt-str", "mask_radius-str", "picard_tol-str", "snapshot_every-None",
+            "snapshot_every-fraction"])
+    def test_config_value_outside_its_domain_names_its_field(self, field, value, message):
+        # unchecked, each str or None raised a TypeError, and snapshot_every
+        # = 2.5 recorded at steps 0, 5 and 10
+        cfg = SolverConfig(dt=0.1, t_end=1.0, boundary="mask", mask_radius=3.0)
+        with pytest.raises(SolverError, match=re.escape(message)):
+            replace(cfg, **{field: value}).validate()
+
+    def test_step_count_that_overflows_is_a_solver_error(self):
+        # unchecked, run's int(round(t_end / dt)) raised an OverflowError
+        with pytest.raises(SolverError, match="step count t_end/dt = 1e.300/1e-300 overflows"):
+            SolverConfig(dt=1e-300, t_end=1e300).validate()
+
     @pytest.mark.parametrize("boundary", ["zero-extend", "mask"])
     def test_final_partial_step_lands_on_t_end(self, setup_1d, boundary):
         g, s, m = setup_1d
@@ -880,6 +901,18 @@ class TestPicard:
         assert [w.t_length for w in report.windows] == [1e-6]
         with pytest.raises(SolverError, match="a window of 0.12 stores 49200041 samples"):
             picard_solve(Field.constant(g, 1.0), m, s, 1.0, dt=1e-7)
+
+    def test_window_count_cap(self):
+        # min rho = e^-50 on this grid, so a window is 7.7e-23 long, and
+        # t_end = 1 would take 1.3e22 of them: refused before the first
+        g = Grid(1, 5.0, 41)
+        s = discretize(Kernel.gaussian(1.0), g.spacing, trunc_tol=1e-8)
+        m = Medium.gaussian_decay(1.0, 0.5)
+        with pytest.raises(SolverError, match=r"takes 1.3e\+22 windows of 7.715e-23"):
+            picard_solve(Field.constant(g, 1.0), m, s, 1.0)
+        assert solver._picard_window(1.0, 1.0, 0.9 * 0.4e6, 1) == 0.4
+        with pytest.raises(SolverError, match="cap of 10\\^6"):
+            solver._picard_window(1.0, 1.0, 1.1 * 0.4e6, 1)
 
     def test_window_validation(self):
         # a subnormal min rho rounds the window 0.4 min rho to 0, and a
