@@ -445,8 +445,9 @@ def _picard_window(rho_min, dt, t_end, n_nodes):
     t0 = 0.4 * rho_min   # 0 when min rho is subnormal: no window would advance
     if not 0 < t0 < 0.5 * rho_min:
         raise SolverError(f"window {t0:g} must lie in (0, rho_min/2) = (0, {0.5 * rho_min:g})")
-    if float(t_end) / t0 > 1_000_000:
-        raise SolverError(f"t_end={t_end:g} takes {float(t_end) / t0:.3g} windows of {t0:g} "
+    windows = float(t_end) / t0
+    if windows > 1_000_000:
+        raise SolverError(f"t_end={t_end:g} takes {windows:.3g} windows of {t0:g} "
                           f"(0.4 min rho), above the fixed-point oracle's cap of 10^6")
     longest = min(t0, t_end)
     n_samples = (max(1, math.ceil(longest / dt - 1e-9)) + 1) * n_nodes

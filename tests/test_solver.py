@@ -454,25 +454,22 @@ class TestRun:
         with pytest.raises(SolverError, match="mask_radius"):
             SolverConfig(dt=0.1, t_end=1.0, mask_radius=3.0).validate()
 
-    @pytest.mark.parametrize("field, value, message", [
-        ("dt", "0.1", "needs a finite dt > 0, got '0.1'"),
-        ("mask_radius", "3", "needs a finite mask_radius, got '3'"),
-        ("picard_tol", "1e-10", "needs a finite picard_tol > 0, got '1e-10'"),
-        ("snapshot_every", None, "snapshot_every must be an integer >= 1, got None"),
-        ("snapshot_every", 2.5, "snapshot_every must be an integer >= 1, got 2.5"),
+    @pytest.mark.parametrize("values, message", [
+        ({"dt": "0.1"}, "needs a finite dt > 0, got '0.1'"),
+        ({"mask_radius": "3"}, "needs a finite mask_radius, got '3'"),
+        ({"picard_tol": "1e-10"}, "needs a finite picard_tol > 0, got '1e-10'"),
+        ({"snapshot_every": None}, "snapshot_every must be an integer >= 1, got None"),
+        ({"snapshot_every": 2.5}, "snapshot_every must be an integer >= 1, got 2.5"),
+        ({"dt": 1e-300, "t_end": 1e300}, "step count t_end/dt = 1e+300/1e-300 overflows"),
     ], ids=["dt-str", "mask_radius-str", "picard_tol-str", "snapshot_every-None",
-            "snapshot_every-fraction"])
-    def test_config_value_outside_its_domain_names_its_field(self, field, value, message):
-        # unchecked, each str or None raised a TypeError, and snapshot_every
-        # = 2.5 recorded at steps 0, 5 and 10
+            "snapshot_every-fraction", "step-count-overflows"])
+    def test_config_value_outside_its_domain_names_its_field(self, values, message):
+        # unchecked, each str or None raised a TypeError, snapshot_every = 2.5
+        # recorded at steps 0, 5 and 10, and run's int(round(t_end / dt))
+        # raised an OverflowError
         cfg = SolverConfig(dt=0.1, t_end=1.0, boundary="mask", mask_radius=3.0)
         with pytest.raises(SolverError, match=re.escape(message)):
-            replace(cfg, **{field: value}).validate()
-
-    def test_step_count_that_overflows_is_a_solver_error(self):
-        # unchecked, run's int(round(t_end / dt)) raised an OverflowError
-        with pytest.raises(SolverError, match="step count t_end/dt = 1e.300/1e-300 overflows"):
-            SolverConfig(dt=1e-300, t_end=1e300).validate()
+            replace(cfg, **values).validate()
 
     @pytest.mark.parametrize("boundary", ["zero-extend", "mask"])
     def test_final_partial_step_lands_on_t_end(self, setup_1d, boundary):
